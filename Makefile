@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke
+.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke perfbench
 
 test:
 	$(PYTHON) -m pytest -q
@@ -46,3 +46,8 @@ bench-quick:
 
 bench-baseline:
 	$(PYTHON) benchmarks/run_all.py
+
+# The end-to-end benchmark's headline workload with its per-layer trace
+# (`python3 perfbench/run.py` runs every workload).
+perfbench:
+	python3 perfbench/run.py --workload fig12-paper --seconds 10 --trace 1

@@ -92,9 +92,11 @@ class PlanCache:
     Channels never change within a run and channel estimates are measured
     once per simulation, so the expensive per-round planning math --
     pre-coder decompositions (:func:`plan_initial_transmission`,
-    :func:`plan_join`), announced decoding subspaces and the
-    post-projection SNRs a receiver would feed back -- is a pure function
-    of the contention configuration.  The cache maps a structural key
+    :func:`plan_join`), announced decoding subspaces, the
+    post-projection SNRs a receiver would feed back and the channel-only
+    core of the delivery-time link abstraction
+    (:func:`repro.sim.link_abstraction.receiver_stream_snrs`) -- is a
+    pure function of the contention configuration.  The cache maps a structural key
     (built from :func:`stream_signature` plus whatever else the
     computation depends on) to the computed value; after the first
     occurrence of each configuration the dominant per-round SVD work

@@ -21,6 +21,8 @@ from repro.utils.db import linear_to_db
 from repro.utils.linalg import (
     orthonormal_basis,
     orthonormal_complement,
+    rank_and_pinv,
+    rank_and_pinv_batch,
     singular_value_ranks,
 )
 
@@ -31,6 +33,8 @@ __all__ = [
     "post_projection_snr_db",
     "post_projection_snr_batch",
     "post_projection_snr_db_batch",
+    "zf_noise_enhancement_batch",
+    "snr_from_zf_enhancement",
     "projection_angle",
 ]
 
@@ -61,9 +65,10 @@ def zero_forcing_decode(received: np.ndarray, channel: np.ndarray) -> np.ndarray
         raise DimensionError(
             f"received dimension {y.shape[0]} does not match channel rows {h.shape[0]}"
         )
-    if np.linalg.matrix_rank(h) < h.shape[1]:
+    rank, pinv = rank_and_pinv(h)
+    if rank < h.shape[1]:
         raise DecodingError("wanted streams are not separable (rank-deficient channel)")
-    estimate = np.linalg.pinv(h) @ y
+    estimate = pinv @ y
     return estimate[:, 0] if squeeze else estimate
 
 
@@ -153,12 +158,125 @@ def post_projection_snr(
         h_eff = projector.conj().T @ hw
     else:
         h_eff = hw
-    if h_eff.shape[0] < n_streams or np.linalg.matrix_rank(h_eff) < n_streams:
+    if h_eff.shape[0] < n_streams:
         return np.zeros(n_streams)
-    w = np.linalg.pinv(h_eff)
+    rank, w = rank_and_pinv(h_eff)
+    if rank < n_streams:
+        return np.zeros(n_streams)
     noise_total = noise_power + residual_interference_power
     enhancement = np.sum(np.abs(w) ** 2, axis=1)
     return signal_power / (noise_total * np.maximum(enhancement, 1e-30))
+
+
+def zf_noise_enhancement_batch(
+    wanted_channels: np.ndarray,
+    interference_directions: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-subcarrier zero-forcing noise enhancement after projection.
+
+    On every subcarrier the wanted channels are projected orthogonal to
+    the interference directions and zero-forced; stream ``j``'s noise
+    enhancement is the squared norm of row ``j`` of the pseudo-inverse,
+    so its post-projection SNR is ``signal / (noise * enhancement)``.
+    This is the part of :func:`post_projection_snr_batch` that depends
+    on the channels only, not on noise or residual interference, which
+    is what lets the link abstraction memoize it per contention
+    configuration.
+
+    Parameters
+    ----------
+    wanted_channels:
+        ``(n_sub, N, n)`` effective channels of the wanted streams.
+    interference_directions:
+        ``(n_sub, N, k)`` interference directions to project out, or
+        ``None``.
+
+    Returns
+    -------
+    tuple
+        ``(enhancement, rank_deficient)``: the ``(n_sub, n)`` noise
+        enhancement and the ``(n_sub,)`` mask of subcarriers whose
+        projected channel cannot separate the wanted streams (fewer
+        dimensions left than streams, or a rank-deficient projection);
+        the enhancement is ``inf`` there.
+    """
+    hw = np.asarray(wanted_channels, dtype=complex)
+    if hw.ndim != 3:
+        raise DimensionError(f"wanted channels must have shape (n_sub, N, n), got {hw.shape}")
+    n_sub, _, n_streams = hw.shape
+
+    hi = None
+    if interference_directions is not None and np.asarray(interference_directions).size:
+        hi = np.asarray(interference_directions, dtype=complex)
+
+    guards = guarded.guards_enabled()
+    if guards:
+        # NaN/Inf-poisoned subcarriers decode nothing: zero the poisoned
+        # matrices (their SNR comes out 0) instead of letting LAPACK raise
+        # or NaN propagate into the metrics.  No-op on finite stacks.
+        hw, _ = guarded.sanitize_stack(hw)
+        if hi is not None:
+            hi, _ = guarded.sanitize_stack(hi)
+
+    if hi is None:
+        return _zf_enhancement(hw, n_streams)
+    # Batched orthonormal complement of the interference: its width is
+    # N - rank, so one batched projection needs one rank throughout.
+    if guards:
+        u, s, _ = guarded.svd_stack(hi, full_matrices=True)
+    else:
+        u, s, _ = np.linalg.svd(hi, full_matrices=True)
+    ranks = singular_value_ranks(s)
+    rank = int(ranks[0])
+    if np.all(ranks == rank):
+        return _zf_enhancement(u[:, :, rank:].conj().transpose(0, 2, 1) @ hw, n_streams)
+    # Degenerate interference whose rank varies across subcarriers: each
+    # subcarrier projects onto its own complement.
+    enhancement = np.empty((n_sub, n_streams))
+    deficient = np.empty(n_sub, dtype=bool)
+    for k in range(n_sub):
+        projector = u[k][:, ranks[k]:]
+        h_eff = projector.conj().T @ hw[k]
+        enhancement[k : k + 1], deficient[k : k + 1] = _zf_enhancement(h_eff[None], n_streams)
+    return enhancement, deficient
+
+
+def _zf_enhancement(h_eff: np.ndarray, n_streams: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Noise enhancement and rank-deficiency mask of a projected stack."""
+    n_sub = h_eff.shape[0]
+    if h_eff.shape[1] < n_streams:
+        return np.full((n_sub, n_streams), np.inf), np.ones(n_sub, dtype=bool)
+    rank, w = rank_and_pinv_batch(h_eff)  # w: (n_sub, n, rows)
+    enhancement = np.sum(np.abs(w) ** 2, axis=2)
+    deficient = rank < n_streams
+    enhancement[deficient] = np.inf
+    return enhancement, deficient
+
+
+def snr_from_zf_enhancement(
+    enhancement: np.ndarray,
+    rank_deficient: np.ndarray,
+    noise_power: float,
+    signal_power: float = 1.0,
+    residual_interference_power=0.0,
+) -> np.ndarray:
+    """Linear post-projection SNRs from :func:`zf_noise_enhancement_batch`.
+
+    ``signal / ((noise + residual) * enhancement)`` per subcarrier and
+    stream, zero on rank-deficient subcarriers; with guards enabled a
+    non-finite SNR is zeroed and noted as a ``"nonfinite-snr"``
+    degradation.  ``residual_interference_power`` is a scalar or
+    ``(n_sub,)`` and is treated as extra white noise.
+    """
+    n_sub = enhancement.shape[0]
+    residual = np.broadcast_to(np.asarray(residual_interference_power, dtype=float), (n_sub,))
+    noise_total = noise_power + residual
+    snr = signal_power / (noise_total[:, None] * np.maximum(enhancement, 1e-30))
+    snr[rank_deficient] = 0.0
+    if guarded.guards_enabled() and not np.isfinite(snr).all():
+        guarded.note_degradation("nonfinite-snr")
+        snr = np.where(np.isfinite(snr), snr, 0.0)
+    return snr
 
 
 def post_projection_snr_batch(
@@ -172,7 +290,9 @@ def post_projection_snr_batch(
 
     The link-abstraction simulator evaluates :func:`post_projection_snr`
     once per OFDM subcarrier; this helper runs the whole stack through
-    batched ``np.linalg`` calls instead.
+    batched ``np.linalg`` calls instead.  It is
+    :func:`zf_noise_enhancement_batch` composed with
+    :func:`snr_from_zf_enhancement`.
 
     Parameters
     ----------
@@ -195,67 +315,12 @@ def post_projection_snr_batch(
         ``(n_sub, n)`` linear SNRs, matching a per-subcarrier loop over
         :func:`post_projection_snr`.
     """
-    hw = np.asarray(wanted_channels, dtype=complex)
-    if hw.ndim != 3:
-        raise DimensionError(f"wanted channels must have shape (n_sub, N, n), got {hw.shape}")
-    n_sub, _, n_streams = hw.shape
-    residual = np.broadcast_to(np.asarray(residual_interference_power, dtype=float), (n_sub,))
-
-    hi = None
-    if interference_directions is not None and np.asarray(interference_directions).size:
-        hi = np.asarray(interference_directions, dtype=complex)
-
-    guards = guarded.guards_enabled()
-    if guards:
-        # NaN/Inf-poisoned subcarriers decode nothing: zero the poisoned
-        # matrices (their SNR comes out 0) instead of letting LAPACK raise
-        # or NaN propagate into the metrics.  No-op on finite stacks.
-        hw, _ = guarded.sanitize_stack(hw)
-        if hi is not None:
-            hi, _ = guarded.sanitize_stack(hi)
-
-    if hi is None:
-        h_eff = hw
-    else:
-        # Batched orthonormal complement of the interference.  The
-        # complement width is N - rank; when the rank varies across
-        # subcarriers (degenerate channels) fall back to the per-subcarrier
-        # reference path for correctness.
-        if guards:
-            u, s, _ = guarded.svd_stack(hi, full_matrices=True)
-        else:
-            u, s, _ = np.linalg.svd(hi, full_matrices=True)
-        ranks = singular_value_ranks(s)
-        rank = int(ranks[0])
-        if not np.all(ranks == rank):
-            return np.stack(
-                [
-                    post_projection_snr(
-                        hw[k], hi[k], noise_power, signal_power, float(residual[k])
-                    )
-                    for k in range(n_sub)
-                ]
-            )
-        projector = u[:, :, rank:]  # (n_sub, N, N - rank)
-        h_eff = projector.conj().transpose(0, 2, 1) @ hw
-
-    if h_eff.shape[1] < n_streams:
-        return np.zeros((n_sub, n_streams))
-    effective_rank = np.linalg.matrix_rank(h_eff)
-    if guards:
-        # numpy's default rcond, so the guarded happy path stays
-        # bit-identical to the unguarded ``np.linalg.pinv`` call.
-        w, _ = guarded.pinv_stack(h_eff, rcond=1e-15)
-    else:
-        w = np.linalg.pinv(h_eff)  # (n_sub, n, rows)
-    noise_total = noise_power + residual
-    enhancement = np.sum(np.abs(w) ** 2, axis=2)
-    snr = signal_power / (noise_total[:, None] * np.maximum(enhancement, 1e-30))
-    snr[effective_rank < n_streams] = 0.0
-    if guards and not np.isfinite(snr).all():
-        guarded.note_degradation("nonfinite-snr")
-        snr = np.where(np.isfinite(snr), snr, 0.0)
-    return snr
+    enhancement, rank_deficient = zf_noise_enhancement_batch(
+        wanted_channels, interference_directions
+    )
+    return snr_from_zf_enhancement(
+        enhancement, rank_deficient, noise_power, signal_power, residual_interference_power
+    )
 
 
 def post_projection_snr_db_batch(

@@ -12,8 +12,12 @@ number by going through the bit-error-rate domain:
 3. map the average BER back to the SNR of a flat channel with the same
    BER -- that flat-equivalent SNR is the ESNR.
 
-The ESNR is then compared against per-MCS thresholds to pick the fastest
-scheme expected to deliver the packet.
+That literal mapping is :func:`esnr_ber_average`.  Rate selection and
+the delivery model use the mean-mutual-information mapping instead
+(:func:`esnr_for_modulation`), which is modulation-agnostic: one ESNR
+per packet is compared against the per-MCS thresholds
+(:func:`mcs_for_esnr`) to pick the fastest scheme expected to deliver
+the packet.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ __all__ = [
     "per_subcarrier_snr_db",
     "effective_snr_db",
     "select_mcs",
+    "mcs_for_esnr",
     "esnr_for_modulation",
     "esnr_ber_average",
     "delivery_margin_db",
+    "margin_for_esnr",
     "packet_delivery_probability",
 ]
 
@@ -110,9 +116,11 @@ def esnr_for_modulation(subcarrier_snrs_db: Sequence[float], modulation: Modulat
     faded subcarriers, which is what makes the ESNR-to-rate table of
     Halperin et al. an accurate packet-delivery predictor in practice.
 
-    The ``modulation`` bounds the useful information per symbol: once every
-    subcarrier already saturates the constellation, extra SNR does not
-    change the effective SNR ordering among candidate rates.
+    The mapping is modulation-agnostic: ``modulation`` is accepted for
+    symmetry with :func:`esnr_ber_average` but never read, and no
+    constellation saturation is applied (the information is the
+    unbounded Shannon ``log2(1 + SNR)``).  One evaluation therefore
+    serves every MCS of a table (:func:`select_mcs`).
     """
     snrs = np.asarray(list(subcarrier_snrs_db), dtype=float)
     if snrs.size == 0:
@@ -137,6 +145,26 @@ def effective_snr_db(
     return esnr_for_modulation(subcarrier_snrs_db, modulation)
 
 
+def mcs_for_esnr(
+    esnr_db: float,
+    table: Iterable[MCS] = MCS_TABLE,
+    margin_db: float = 0.0,
+) -> MCS:
+    """The fastest MCS whose ESNR threshold ``esnr_db`` meets (§3.4).
+
+    Scans ``table`` in order and keeps the last entry with
+    ``esnr_db >= min_esnr_db + margin_db``; if none qualifies the first
+    (most robust) entry is returned.  The scan makes no monotonicity
+    assumption about the table.
+    """
+    table = list(table)
+    best = table[0]
+    for mcs in table:
+        if esnr_db >= mcs.min_esnr_db + margin_db:
+            best = mcs
+    return best
+
+
 def select_mcs(
     subcarrier_snrs_db: Sequence[float],
     table: Iterable[MCS] = MCS_TABLE,
@@ -144,18 +172,15 @@ def select_mcs(
 ) -> MCS:
     """Pick the fastest MCS whose ESNR threshold is met (§3.4).
 
-    Each candidate MCS is evaluated with its own modulation's BER curve,
-    as in Halperin et al.; the fastest scheme whose ``min_esnr_db`` (plus
-    an optional safety margin) is satisfied wins.  If none qualifies the
-    most robust MCS is returned.
+    The per-subcarrier SNRs are compressed into one mutual-information
+    effective SNR (:func:`esnr_for_modulation`, which is the same for
+    every modulation) and :func:`mcs_for_esnr` picks the fastest scheme
+    whose ``min_esnr_db`` (plus an optional safety margin) it meets.  If
+    none qualifies the most robust MCS is returned.
     """
     table = list(table)
-    best = table[0]
-    for mcs in table:
-        esnr = esnr_for_modulation(subcarrier_snrs_db, mcs.modulation)
-        if esnr >= mcs.min_esnr_db + margin_db:
-            best = mcs
-    return best
+    esnr = esnr_for_modulation(subcarrier_snrs_db, table[0].modulation)
+    return mcs_for_esnr(esnr, table, margin_db)
 
 
 def delivery_margin_db(
@@ -176,7 +201,12 @@ def delivery_margin_db(
     abstraction and the full transceiver may disagree.
     """
     esnr = esnr_for_modulation(subcarrier_snrs_db, mcs.modulation)
-    return float(esnr - mcs.min_esnr_db + threshold_offset_db)
+    return margin_for_esnr(esnr, mcs, threshold_offset_db)
+
+
+def margin_for_esnr(esnr_db: float, mcs: MCS, threshold_offset_db: float = 2.5) -> float:
+    """:func:`delivery_margin_db` from an already evaluated ESNR."""
+    return float(esnr_db - mcs.min_esnr_db + threshold_offset_db)
 
 
 def packet_delivery_probability(

@@ -65,8 +65,9 @@ from repro.phy.channel_est import ChannelEstimate
 from repro.phy.esnr import (
     delivery_margin_db,
     esnr_for_modulation,
+    margin_for_esnr,
+    mcs_for_esnr,
     packet_delivery_probability,
-    select_mcs,
 )
 from repro.phy.ofdm import OfdmConfig, OfdmModem
 from repro.phy.rates import MCS, MCS_TABLE
@@ -491,14 +492,15 @@ def cross_validate_links(
             end_us=100.0,
         )
         snrs = receiver_stream_snrs(network, rx, [stream], [stream], rng=None)[0]
-        selected = select_mcs(snrs, margin_db=config.bitrate_margin_db)
+        esnr = esnr_for_modulation(snrs, MCS_TABLE[0].modulation)
+        selected = mcs_for_esnr(esnr, MCS_TABLE, config.bitrate_margin_db)
         candidates = {selected.index}
         if selected.index + 1 < len(MCS_TABLE):
             candidates.add(selected.index + 1)
         for index in sorted(candidates):
             mcs = MCS_TABLE[index]
             probability = packet_delivery_probability(snrs, mcs, int(probe_bits))
-            margin = delivery_margin_db(snrs, mcs)
+            margin = margin_for_esnr(esnr, mcs)
             rng = phy_stream_rng(seed, tx, rx, ("validate", index))
             delivered = sum(
                 simulate_probe_delivery(
@@ -511,7 +513,7 @@ def cross_validate_links(
                     transmitter_id=tx,
                     receiver_id=rx,
                     mcs_index=index,
-                    esnr_db=esnr_for_modulation(snrs, mcs.modulation),
+                    esnr_db=esnr,
                     margin_db=margin,
                     in_band=abs(margin) <= band_db,
                     abstraction_probability=probability,

@@ -31,20 +31,36 @@ know about it:
   counted at full power.
 
 All per-subcarrier quantities are computed as stacked ``(n_sub, ...)``
-arrays through batched ``np.linalg`` operations; the readable
-per-subcarrier formulations are kept as ``_*_reference`` functions and
-asserted equivalent by the test suite.
+arrays through batched ``np.linalg`` operations.  The per-subcarrier
+announced-subspace formulation (``_announced_subspace_reference``)
+remains as the degenerate-channel fallback and is asserted equivalent
+by the test suite.
+
+:func:`receiver_stream_snrs` splits into a channel-only core and a
+per-call step.  The core -- stream classification, the wanted and
+projection matrices, the zero-forcing noise enhancement after
+projection (:func:`repro.mimo.decoder.zf_noise_enhancement_batch`) and
+the unprotected power of every residual and raw interferer -- is a pure
+function of the contention configuration and the channel epochs, so
+when the caller hands over the run's :class:`~repro.mac.plan.PlanCache`
+it is memoized under an ``"rx-snr-core"`` key.  The per-call step draws
+the residual-suppression jitter (the only per-round randomness),
+accumulates the residual interference and composes the SNRs, so cached
+and uncached calls consume the generator identically and return the
+same bits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mimo.decoder import post_projection_snr_db_batch
+from repro.mac.plan import PlanCache, involved_node_ids, stream_signature
+from repro.mimo.decoder import snr_from_zf_enhancement, zf_noise_enhancement_batch
 from repro.mimo.dof import InterferenceStrategy
 from repro.sim.medium import ScheduledStream
+from repro.utils.db import linear_to_db
 from repro.utils.linalg import singular_value_ranks
 
 __all__ = [
@@ -195,46 +211,34 @@ def _announced_subspace_reference(
     return out
 
 
-def receiver_stream_snrs(
+class _ReceiverCore(NamedTuple):
+    """The channel-only part of :func:`receiver_stream_snrs`.
+
+    ``residual`` holds ``(unprotected power, aligned)`` per residual
+    (protecting) stream and ``raw`` the unprotected power per raw
+    (untreatable) stream, each ``(n_sub,)``, in ``concurrent_streams``
+    order.  Arrays are read-only: a memoized core is shared by reference.
+    """
+
+    enhancement: np.ndarray
+    rank_deficient: np.ndarray
+    residual: Tuple[Tuple[np.ndarray, bool], ...]
+    raw: Tuple[np.ndarray, ...]
+
+
+def _receiver_core(
     network,
     receiver_id: int,
-    wanted_streams: Sequence[ScheduledStream],
+    wanted: Sequence[ScheduledStream],
     concurrent_streams: Sequence[ScheduledStream],
-    rng: Optional[np.random.Generator] = None,
-) -> Dict[int, np.ndarray]:
-    """Per-subcarrier post-projection SNRs of the wanted streams.
-
-    Parameters
-    ----------
-    network:
-        The :class:`repro.sim.network.Network` of the run (provides true
-        channels, the hardware profile and the noise normalisation).
-    receiver_id:
-        The receiving node.
-    wanted_streams:
-        The streams this receiver wants to decode (all from one
-        transmitter).
-    concurrent_streams:
-        Every stream on the air during the reception, including the wanted
-        ones.
-    rng:
-        Optional generator for the residual-suppression spread; omit for a
-        deterministic mean-suppression model.
-
-    Returns
-    -------
-    dict
-        Maps each wanted stream's ``stream_id`` to an array of
-        per-subcarrier SNRs in dB.
-    """
-    wanted = list(wanted_streams)
-    if not wanted:
-        return {}
+) -> _ReceiverCore:
+    """Classify the concurrent streams and compute everything that
+    depends on the channels only: the zero-forcing noise enhancement of
+    the wanted streams after projection and the unprotected power of
+    every residual and raw stream."""
     wanted_ids = {s.stream_id for s in wanted}
     transmitter_id = wanted[0].transmitter_id
     first_wanted_order = min(s.join_order for s in wanted)
-    n_sub = network.n_subcarriers
-    noise = network.noise_power
 
     # Pre-fetch channels from every involved transmitter to this receiver.
     transmitters = {s.transmitter_id for s in concurrent_streams} | {transmitter_id}
@@ -270,39 +274,124 @@ def receiver_stream_snrs(
         if projection_streams
         else None
     )
+    enhancement, rank_deficient = zf_noise_enhancement_batch(wanted_matrix, interference)
 
-    residual_power = np.zeros(n_sub)
-    if residual_streams:
+    def unprotected(stream: ScheduledStream) -> np.ndarray:
+        return _read_only(
+            unprotected_interference_power_batch(channels[stream.transmitter_id], stream)
+        )
+
+    residual = tuple(
+        (
+            unprotected(stream),
+            stream.protected_receivers.get(receiver_id, InterferenceStrategy.NULL)
+            is InterferenceStrategy.ALIGN,
+        )
+        for stream in residual_streams
+    )
+    return _ReceiverCore(
+        _read_only(enhancement),
+        _read_only(rank_deficient),
+        residual,
+        tuple(unprotected(stream) for stream in raw_streams),
+    )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def receiver_stream_snrs(
+    network,
+    receiver_id: int,
+    wanted_streams: Sequence[ScheduledStream],
+    concurrent_streams: Sequence[ScheduledStream],
+    rng: Optional[np.random.Generator] = None,
+    plan_cache: Optional[PlanCache] = None,
+) -> Dict[int, np.ndarray]:
+    """Per-subcarrier post-projection SNRs of the wanted streams.
+
+    Parameters
+    ----------
+    network:
+        The :class:`repro.sim.network.Network` of the run (provides true
+        channels, the hardware profile and the noise normalisation).
+    receiver_id:
+        The receiving node.
+    wanted_streams:
+        The streams this receiver wants to decode (all from one
+        transmitter).
+    concurrent_streams:
+        Every stream on the air during the reception, including the wanted
+        ones.
+    rng:
+        Optional generator for the residual-suppression spread; omit for a
+        deterministic mean-suppression model.
+    plan_cache:
+        Optional per-simulation :class:`~repro.mac.plan.PlanCache`.  When
+        given, the channel-only core (stream classification, projection,
+        zero-forcing noise enhancement, unprotected powers) is memoized
+        per contention configuration and channel epoch; the suppression
+        jitter is still drawn on every call, so the result and the
+        generator's state are the same with or without a cache.
+
+    Returns
+    -------
+    dict
+        Maps each wanted stream's ``stream_id`` to an array of
+        per-subcarrier SNRs in dB.
+    """
+    wanted = list(wanted_streams)
+    if not wanted:
+        return {}
+    concurrent = list(concurrent_streams)
+    if plan_cache is None:
+        core = _receiver_core(network, receiver_id, wanted, concurrent)
+    else:
+        key = (
+            "rx-snr-core",
+            receiver_id,
+            stream_signature(wanted),
+            stream_signature(concurrent),
+            network.epoch_signature(
+                involved_node_ids(wanted, concurrent, extra=(receiver_id,))
+            ),
+        )
+        core = plan_cache.get(
+            key, lambda: _receiver_core(network, receiver_id, wanted, concurrent)
+        )
+
+    residual_power = np.zeros(network.n_subcarriers)
+    if core.residual:
         # One draw per (subcarrier, stream) in row-major order, matching the
         # draw order of the per-subcarrier loop so seeded runs reproduce.
         jitter = (
             network.hardware.draw_suppression_jitter(
-                rng, size=(n_sub, len(residual_streams))
+                rng, size=(network.n_subcarriers, len(core.residual))
             )
             if rng is not None
             else None
         )
-        for index, stream in enumerate(residual_streams):
-            strategy = stream.protected_receivers.get(receiver_id, InterferenceStrategy.NULL)
-            unprotected = unprotected_interference_power_batch(
-                channels[stream.transmitter_id], stream
-            )
+        for index, (unprotected, aligned) in enumerate(core.residual):
             residual_power += network.hardware.residual_interference_power_batch(
                 unprotected,
-                aligned=strategy is InterferenceStrategy.ALIGN,
+                aligned=aligned,
                 suppression_jitter_db=None if jitter is None else jitter[:, index],
             )
-    for stream in raw_streams:
-        residual_power += unprotected_interference_power_batch(
-            channels[stream.transmitter_id], stream
-        )
+    # Added one by one after the residual streams and never pre-summed in
+    # the core: this accumulation order fixes the bits seeded runs reproduce.
+    for unprotected in core.raw:
+        residual_power += unprotected
 
-    per_stream_db = post_projection_snr_db_batch(
-        wanted_matrix,
-        interference,
-        noise_power=noise,
-        signal_power=1.0,
-        residual_interference_power=residual_power,
+    per_stream_db = linear_to_db(
+        snr_from_zf_enhancement(
+            core.enhancement,
+            core.rank_deficient,
+            noise_power=network.noise_power,
+            signal_power=1.0,
+            residual_interference_power=residual_power,
+        )
     )  # (n_sub, n_wanted)
     return {
         stream.stream_id: np.ascontiguousarray(per_stream_db[:, index])

@@ -388,6 +388,7 @@ def _evaluate_group(
     all_streams: Sequence[ScheduledStream],
     rng: np.random.Generator,
     fidelity: Optional[FidelityEngine] = None,
+    plan_cache: Optional[PlanCache] = None,
 ) -> bool:
     """Decide whether the group's payload was delivered."""
     if group.collided:
@@ -395,7 +396,12 @@ def _evaluate_group(
     if group.payload_bits <= 0:
         return False
     snrs = receiver_stream_snrs(
-        network, group.receiver_id, group.streams, list(all_streams), rng=rng
+        network,
+        group.receiver_id,
+        group.streams,
+        list(all_streams),
+        rng=rng,
+        plan_cache=plan_cache,
     )
     probability = 1.0
     for stream in group.streams:
@@ -715,7 +721,7 @@ class _EventDrivenLoop:
         all_streams = medium.active_streams
         for group in groups:
             delivered = _evaluate_group(
-                self.network, group, all_streams, rng, self.fidelity
+                self.network, group, all_streams, rng, self.fidelity, self.plan_cache
             )
             if faults is not None and delivered:
                 # Loss episodes overlapping the group's body interval

@@ -13,6 +13,8 @@ represented by matrices whose *columns* form an orthonormal basis.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.exceptions import DimensionError
@@ -25,6 +27,8 @@ __all__ = [
     "orthonormal_complement",
     "orthonormal_complement_batch",
     "singular_value_ranks",
+    "rank_and_pinv",
+    "rank_and_pinv_batch",
     "project_onto_subspace",
     "project_out_subspace",
     "projection_matrix",
@@ -35,6 +39,9 @@ __all__ = [
 
 #: Default relative tolerance used to decide which singular values are zero.
 DEFAULT_RCOND = 1e-10
+
+#: ``np.linalg.pinv``'s default cutoff, relative to the largest singular value.
+PINV_RCOND = 1e-15
 
 
 def _as_complex_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -92,6 +99,78 @@ def singular_value_ranks(
     s = np.asarray(singular_values)
     tol = rcond * s[:, :1]
     return np.sum(s > tol, axis=1)
+
+
+def rank_and_pinv(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Tolerance rank and pseudo-inverse of a matrix or stack from one SVD.
+
+    Returns ``(np.linalg.matrix_rank(a), np.linalg.pinv(a))`` bit for bit
+    while decomposing ``a`` once instead of twice.  Both come from the
+    SVD of ``a.conjugate()`` that ``pinv`` takes (conjugation leaves the
+    singular values unchanged), through numpy's own formulas: the rank
+    counts singular values above ``s_max * max(m, n) * eps``, and the
+    pseudo-inverse drops those at or below ``PINV_RCOND * s_max``.
+    Raises ``LinAlgError`` where numpy would (SVD non-convergence).
+
+    Parameters
+    ----------
+    matrices:
+        A ``(m, n)`` matrix or ``(..., m, n)`` stack.
+
+    Returns
+    -------
+    tuple
+        ``(rank, pinv)`` with shapes ``(...)`` and ``(..., n, m)``.
+    """
+    a = np.asarray(matrices)
+    m, n = a.shape[-2:]
+    if a.size == 0:
+        return (
+            np.zeros(a.shape[:-2], dtype=np.intp),
+            np.empty(a.shape[:-2] + (n, m), dtype=a.dtype),
+        )
+    u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
+    s_max = s.max(axis=-1, keepdims=True, initial=0)
+    rank = np.count_nonzero(s > s_max * (max(m, n) * np.finfo(s.dtype).eps), axis=-1)
+    large = s > PINV_RCOND * s_max
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    pinv = np.matmul(np.swapaxes(vt, -1, -2), np.multiply(s[..., None], np.swapaxes(u, -1, -2)))
+    return rank, pinv
+
+
+def rank_and_pinv_batch(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`rank_and_pinv` of a ``(batch, m, n)`` stack that cannot raise.
+
+    With guards enabled (the default, :mod:`repro.utils.guarded`),
+    non-finite members are zeroed first, a LAPACK non-convergence falls
+    back to a per-matrix sweep in which only the non-converging members
+    come out as rank 0 with a zero pseudo-inverse, and a non-finite
+    pseudo-inverse is zeroed; each fallback notes a degradation
+    (``"nonfinite-input"``, ``"pinv-non-convergent"``,
+    ``"nonfinite-pinv"``).  Finite stacks get exactly
+    :func:`rank_and_pinv`, which is also the guards-disabled path.
+    """
+    a = np.asarray(matrices, dtype=complex)
+    if not guarded.guards_enabled():
+        return rank_and_pinv(a)
+    a, _ = guarded.sanitize_stack(a)
+    try:
+        rank, pinv = rank_and_pinv(a)
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK-dependent
+        guarded.note_degradation("pinv-non-convergent")
+        batch, m, n = a.shape
+        rank = np.zeros(batch, dtype=np.intp)
+        pinv = np.zeros((batch, n, m), dtype=complex)
+        for index in range(batch):
+            try:
+                rank[index], pinv[index] = rank_and_pinv(a[index])
+            except np.linalg.LinAlgError:
+                pass
+    if not np.isfinite(pinv).all():  # pragma: no cover - defensive
+        guarded.note_degradation("nonfinite-pinv")
+        pinv = np.where(np.isfinite(pinv), pinv, 0.0)
+    return rank, pinv
 
 
 def null_space_batch(

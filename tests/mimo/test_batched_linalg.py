@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.mimo.decoder import post_projection_snr, post_projection_snr_batch
+from repro.mimo.decoder import (
+    post_projection_snr,
+    post_projection_snr_batch,
+    snr_from_zf_enhancement,
+    zf_noise_enhancement_batch,
+)
 from repro.utils import guarded
 from repro.utils.linalg import (
     null_space,
@@ -137,3 +142,44 @@ class TestPostProjectionSnrBatch:
         for k in range(N_SUB):
             reference = post_projection_snr(wanted[k], interference[k], 0.2)
             assert np.allclose(batched[k], reference)
+
+
+class TestZfNoiseEnhancementBatch:
+    def test_composition_is_the_batched_snr(self, rng):
+        wanted = _stack(rng, N_SUB, 3, 2)
+        interference = _stack(rng, N_SUB, 3, 1)
+        residual = rng.random(N_SUB)
+        enhancement, deficient = zf_noise_enhancement_batch(wanted, interference)
+        assert enhancement.shape == (N_SUB, 2) and not deficient.any()
+        composed = snr_from_zf_enhancement(enhancement, deficient, 0.1, 2.0, residual)
+        batched = post_projection_snr_batch(wanted, interference, 0.1, 2.0, residual)
+        assert np.array_equal(composed, batched)
+
+    def test_deficient_subcarriers_are_flagged(self, rng):
+        wanted = _stack(rng, N_SUB, 2, 2)
+        wanted[3, :, 1] = wanted[3, :, 0]
+        enhancement, deficient = zf_noise_enhancement_batch(wanted, None)
+        assert deficient.tolist() == [k == 3 for k in range(N_SUB)]
+        assert np.isinf(enhancement[3]).all() and np.isfinite(enhancement[~deficient]).all()
+        overloaded, all_deficient = zf_noise_enhancement_batch(
+            wanted, _stack(rng, N_SUB, 2, 1)
+        )
+        assert all_deficient.all() and np.isinf(overloaded).all()
+
+    @pytest.mark.parametrize("guards", [True, False])
+    def test_varying_rank_is_bit_equal_to_per_subcarrier(self, rng, guards):
+        wanted = _stack(rng, N_SUB, 3, 1)
+        interference = _stack(rng, N_SUB, 3, 2)
+        interference[4, :, 1] = interference[4, :, 0]
+        interference[9] = 0.0
+        residual = rng.random(N_SUB)
+        previous = guarded.set_guards_enabled(guards)
+        try:
+            batched = post_projection_snr_batch(wanted, interference, 0.2, 1.0, residual)
+        finally:
+            guarded.set_guards_enabled(previous)
+        for k in range(N_SUB):
+            reference = post_projection_snr(
+                wanted[k], interference[k], 0.2, 1.0, float(residual[k])
+            )
+            assert np.array_equal(batched[k], reference)

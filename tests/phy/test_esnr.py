@@ -1,5 +1,8 @@
 """Tests for effective SNR and bitrate selection."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from repro.phy.esnr import (
     effective_snr_db,
     esnr_ber_average,
     esnr_for_modulation,
+    mcs_for_esnr,
     packet_delivery_probability,
     per_subcarrier_snr_db,
     select_mcs,
@@ -136,3 +140,51 @@ class TestDeliveryProbability:
             snrs = rng.uniform(-5, 35, size=16)
             prob = packet_delivery_probability(snrs, mcs, 12000)
             assert 0.0 <= prob <= 1.0
+
+
+VECTORS = json.loads(
+    (Path(__file__).resolve().parent.parent / "data" / "select_mcs_vectors.json").read_text()
+)
+
+
+class TestSelectMcsRecordedVectors:
+    """``select_mcs`` against indices recorded from the selector that
+    evaluated the ESNR once per table entry (see the file's description)."""
+
+    def test_recorded_indices(self):
+        assert len(VECTORS["cases"]) >= 300
+        for case in VECTORS["cases"]:
+            picked = [
+                select_mcs(case["snrs_db"], MCS_TABLE, margin).index
+                for margin in VECTORS["margins_db"]
+            ]
+            assert picked == case["mcs_index"], case["snrs_db"]
+
+    def test_vectors_cover_every_mcs(self):
+        seen = {index for case in VECTORS["cases"] for index in case["mcs_index"]}
+        assert seen == {mcs.index for mcs in MCS_TABLE}
+
+
+class TestMcsForEsnr:
+    def test_select_mcs_is_one_esnr_then_lookup(self, rng):
+        for _ in range(200):
+            snrs = rng.uniform(-5.0, 35.0, size=16)
+            margin = float(rng.choice([0.0, 1.0, 2.5]))
+            esnr = esnr_for_modulation(snrs, MCS_TABLE[0].modulation)
+            assert mcs_for_esnr(esnr, MCS_TABLE, margin) is select_mcs(snrs, MCS_TABLE, margin)
+
+    def test_exact_threshold_qualifies(self):
+        for mcs in MCS_TABLE:
+            assert mcs_for_esnr(mcs.min_esnr_db) is mcs
+            assert mcs_for_esnr(mcs.min_esnr_db + 1.0, margin_db=1.0) is mcs
+
+    def test_falls_back_to_first_entry(self):
+        assert mcs_for_esnr(-np.inf) is MCS_TABLE[0]
+        assert mcs_for_esnr(float("nan")) is MCS_TABLE[0]
+        assert select_mcs([]) is MCS_TABLE[0]
+
+    def test_last_qualifying_entry_in_table_order(self):
+        """No monotonicity assumption: a reordered table is scanned as is."""
+        reordered = [MCS_TABLE[5], MCS_TABLE[2], MCS_TABLE[6], MCS_TABLE[1]]
+        assert mcs_for_esnr(17.0, reordered) is MCS_TABLE[1]
+        assert mcs_for_esnr(4.0, reordered) is MCS_TABLE[5]

@@ -205,3 +205,110 @@ class TestStreamSignature:
         assert base != stream_signature([stream(0, 2, 0)])
         assert base != stream_signature([stream(4, 1, 0)])
         assert base != stream_signature([stream(0, 1, 0), stream(0, 1, 0)])
+
+
+class _KindCountingCache(PlanCache):
+    """A :class:`PlanCache` that also counts hits and misses per key kind."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kind_hits = {}
+        self.kind_misses = {}
+
+    def get(self, key, compute):
+        kind = key[0]
+        before = self.misses
+        value = super().get(key, compute)
+        counter = self.kind_misses if self.misses > before else self.kind_hits
+        counter[kind] = counter.get(kind, 0) + 1
+        return value
+
+
+def _run_counting(monkeypatch, scenario, seed, config):
+    """``run_simulation`` with its plan cache swapped for a counting one."""
+    import repro.sim.runner as runner
+
+    caches = []
+
+    def make_cache():
+        caches.append(_KindCountingCache())
+        return caches[-1]
+
+    monkeypatch.setattr(runner, "PlanCache", make_cache)
+    metrics = run_simulation(scenario, "n+", seed=seed, config=config)
+    (cache,) = caches
+    return cache, metrics
+
+
+class TestReceiverCoreMemo:
+    """The delivery-time link abstraction memoizes its channel-only core
+    (``"rx-snr-core"``) and still draws the suppression jitter per call."""
+
+    def test_saturated_three_pair_hits_the_core_memo(self, monkeypatch):
+        config = SimulationConfig(duration_us=100_000.0, n_subcarriers=8)
+        cache, _ = _run_counting(monkeypatch, three_pair_scenario(), 1, config)
+        hits = cache.kind_hits.get("rx-snr-core", 0)
+        misses = cache.kind_misses.get("rx-snr-core", 0)
+        assert misses > 0
+        assert hits / (hits + misses) >= 0.9
+
+    # Long enough for fades to hit links while their configurations recur.
+    FAULTY_CONFIG = SimulationConfig(duration_us=50_000.0, n_subcarriers=8)
+
+    def test_faulty_lan_cached_equals_uncached(self):
+        scenario = scenario_factory("dense-lan-20-faulty")
+        config = self.FAULTY_CONFIG
+        on = run_simulation(scenario(), "n+", seed=9, config=config, plan_cache=True)
+        off = run_simulation(scenario(), "n+", seed=9, config=config, plan_cache=False)
+        assert on.to_dict() == off.to_dict()
+
+    def test_fades_retire_core_entries(self, monkeypatch):
+        """Under faults the same contention configuration is recomputed
+        once per channel epoch: core keys that differ only in their epoch
+        signature coexist in the cache."""
+        scenario = scenario_factory("dense-lan-20-faulty")()
+        cache, _ = _run_counting(monkeypatch, scenario, 9, self.FAULTY_CONFIG)
+        epochs = {}
+        for key in cache._store:
+            if key[0] == "rx-snr-core":
+                epochs.setdefault(key[:4], set()).add(key[4])
+        assert epochs
+        assert any(len(signatures) > 1 for signatures in epochs.values())
+
+    def test_memo_keeps_results_and_generator_state(self, monkeypatch):
+        """A filled or hit memo returns the uncached SNRs, shares read-only
+        arrays, and leaves the generator where the uncached call does."""
+        import repro.sim.runner as runner
+        from repro.sim.link_abstraction import receiver_stream_snrs
+
+        captured = []
+
+        def spy(network, receiver_id, wanted, concurrent, rng=None, plan_cache=None):
+            if not captured and len(concurrent) > len(wanted):
+                captured.append((network, receiver_id, list(wanted), list(concurrent)))
+            return receiver_stream_snrs(
+                network, receiver_id, wanted, concurrent, rng, plan_cache
+            )
+
+        monkeypatch.setattr(runner, "receiver_stream_snrs", spy)
+        run_simulation(three_pair_scenario(), "n+", seed=3, config=FAST)
+        assert captured
+        network, receiver_id, wanted, concurrent = captured[0]
+
+        cache = PlanCache()
+        results, next_draws = [], []
+        for plan_cache in (None, cache, cache):
+            rng = np.random.default_rng(17)
+            results.append(
+                receiver_stream_snrs(network, receiver_id, wanted, concurrent, rng, plan_cache)
+            )
+            next_draws.append(rng.random())
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert len(set(next_draws)) == 1
+        for result in results[1:]:
+            assert result.keys() == results[0].keys()
+            for stream_id, snrs in result.items():
+                assert np.array_equal(snrs, results[0][stream_id])
+        (core,) = cache._store.values()
+        assert not core.enhancement.flags.writeable
+        assert not core.rank_deficient.flags.writeable

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DimensionError
+from repro.utils import guarded
 from repro.utils.linalg import (
     is_in_subspace,
     null_space,
@@ -15,6 +16,8 @@ from repro.utils.linalg import (
     project_out_subspace,
     projection_matrix,
     random_unitary,
+    rank_and_pinv,
+    rank_and_pinv_batch,
     subspace_angle,
 )
 
@@ -177,3 +180,75 @@ class TestLinalgProperties:
         complement = orthonormal_complement(a)
         full = np.concatenate([basis, complement], axis=1)
         assert np.allclose(full @ full.conj().T, np.eye(dim), atol=1e-8)
+
+
+def _assert_numpy_exact(stack):
+    rank, pinv = rank_and_pinv(stack)
+    assert np.array_equal(rank, np.linalg.matrix_rank(stack))
+    assert np.array_equal(pinv, np.linalg.pinv(stack))
+
+
+class TestRankAndPinv:
+    """One SVD gives numpy's matrix_rank and pinv, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(16, 1, 1), (16, 2, 1), (16, 3, 2), (16, 4, 3), (8, 2, 3)])
+    def test_full_rank_stacks(self, rng, shape):
+        for scale in (1e-9, 1.0, 1e3):
+            _assert_numpy_exact(scale * _random_complex(rng, shape))
+
+    def test_rank_deficient_stacks(self, rng):
+        for _ in range(50):
+            stack = _random_complex(rng, (16, 4, 3))
+            stack[..., 2] = (0.3 - 0.7j) * stack[..., 0]  # dependent column
+            stack[3, 1:, :] = 2.0 * stack[3, :1, :]  # rank-1 member
+            _assert_numpy_exact(stack)
+            assert np.linalg.matrix_rank(stack)[3] == 1
+
+    def test_all_zero_stack_and_members(self, rng):
+        _assert_numpy_exact(np.zeros((16, 3, 2), dtype=complex))
+        stack = _random_complex(rng, (16, 3, 2))
+        stack[[0, 7]] = 0.0
+        _assert_numpy_exact(stack)
+        rank, pinv = rank_and_pinv(stack)
+        assert rank[0] == rank[7] == 0
+        assert not pinv[[0, 7]].any()
+
+    def test_single_matrix(self, rng):
+        for shape in ((1, 1), (3, 2), (2, 3), (4, 4)):
+            matrix = _random_complex(rng, shape)
+            rank, pinv = rank_and_pinv(matrix)
+            assert rank == np.linalg.matrix_rank(matrix)
+            assert np.array_equal(pinv, np.linalg.pinv(matrix))
+
+    def test_batch_matches_with_guards_on_and_off(self, rng):
+        stack = _random_complex(rng, (16, 3, 2))
+        stack[5, :, 1] = stack[5, :, 0]
+        expected_rank, expected_pinv = np.linalg.matrix_rank(stack), np.linalg.pinv(stack)
+        for guards in (True, False):
+            previous = guarded.set_guards_enabled(guards)
+            try:
+                rank, pinv = rank_and_pinv_batch(stack)
+            finally:
+                guarded.set_guards_enabled(previous)
+            assert np.array_equal(rank, expected_rank)
+            assert np.array_equal(pinv, expected_pinv)
+
+    def test_guarded_batch_zeroes_non_finite_members(self, rng):
+        stack = _random_complex(rng, (16, 3, 2))
+        stack[2, 0, 0] = np.nan
+        before = guarded.degradations_total()
+        rank, pinv = rank_and_pinv_batch(stack)
+        assert guarded.degradations_total() == before + 1
+        assert rank[2] == 0 and not pinv[2].any()
+        clean = np.delete(stack, 2, axis=0)
+        assert np.array_equal(np.delete(pinv, 2, axis=0), np.linalg.pinv(clean))
+
+    def test_unguarded_batch_is_numpy_on_non_finite_input(self, rng):
+        stack = _random_complex(rng, (4, 3, 2))
+        stack[1, 0, 0] = np.inf
+        before = guarded.degradations_total()
+        with guarded.guards_disabled():
+            rank, pinv = rank_and_pinv_batch(stack)
+        assert guarded.degradations_total() == before
+        np.testing.assert_array_equal(rank, np.linalg.matrix_rank(stack))
+        np.testing.assert_array_equal(pinv, np.linalg.pinv(stack))
