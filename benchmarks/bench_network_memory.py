@@ -99,6 +99,8 @@ def run(sizes, channel_draws: str | None = None) -> dict:
 
 
 def main(argv=None) -> int:
+    from repro.sim.network import DRAW_CONTRACTS
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--sizes",
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--channel-draws",
-        choices=["grouped", "batched", "per-pair"],
+        choices=DRAW_CONTRACTS,
         default=None,
         help="force one draw contract for every tier (default: each tier's "
         "effective contract -- batched at 100/200, grouped at 500)",

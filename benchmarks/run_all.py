@@ -52,16 +52,13 @@ TRACKED_FILES = [
     "benchmarks/bench_sweep_scaling.py",
 ]
 
-#: Entries skipped by ``--quick``: the 500-station tier and the kept
-#: reference/comparison implementations.  Each has a faster tracked
-#: sibling, so quick mode still covers every hot path once.
+#: Entries skipped by ``--quick``: the 500-station tier and the
+#: comparison entries.  Each has a faster tracked sibling, so quick mode
+#: still covers every hot path once.
 QUICK_DESELECT = [
     "bench_build_network_500",
-    "bench_build_network_100_reference",
     "bench_build_network_200_batched",
     "bench_nplus_rounds_no_plan_cache",
-    "bench_dense_lan_100_rounds_per_agent",
-    "bench_dense_lan_100_bursty_rounds_per_agent",
 ]
 
 #: Station counts measured by the memory benchmark (``--quick`` drops 500).

@@ -215,8 +215,8 @@ class Testbed:
         """Every link's scalar draws at once -- the grouped (v3) contract.
 
         Where :meth:`draw_link_scalars` interleaves the two scalar draws
-        link by link (the contract the ``"batched"``/``"per-pair"`` v2
-        network constructions share), this consumes randomness
+        link by link (the contract of the ``"batched"`` v2 network
+        construction), this consumes randomness
         **scalars-first**: ONE ``rng.normal`` call draws the shadowing of
         every link, then ONE ``rng.random`` call draws every
         line-of-sight coin.  A shadowing value is drawn (and discarded)

@@ -56,6 +56,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.report import format_table
 from repro.mac.variants import available_variants, parse_protocol, split_protocol_list
 from repro.sim.capsule import load_capsule, replay_capsule
+from repro.sim.network import DRAW_CONTRACTS
 from repro.sim.runner import SimulationConfig
 from repro.sim.scenarios import available_scenarios, scenario_factory
 from repro.sim.store import ResultsStore
@@ -454,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--channel-draws",
-        choices=["grouped", "batched", "per-pair"],
+        choices=DRAW_CONTRACTS,
         default=None,
         help="channel-draw contract for network construction (default: the "
         "scenario's hint, else 'batched'; dense-lan-500 declares 'grouped')",

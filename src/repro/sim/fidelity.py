@@ -38,8 +38,7 @@ are memoized per (link epoch, stream signature) exactly like the agents'
 measured-SNR memo (:func:`repro.mac.plan.involved_node_ids`), so a fault
 bumping any involved link's epoch invalidates exactly the affected
 entries.  Together this makes ``"auto"``/``"full"`` results a pure
-function of the seed across pipelines, worker counts and plan-cache
-settings.
+function of the seed across worker counts and plan-cache settings.
 
 Cross-fidelity validation
 -------------------------

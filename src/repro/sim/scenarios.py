@@ -14,8 +14,8 @@ stable string::
 The ``dense-lan-*`` family models the production-scale regime the
 ROADMAP asks for: 20-500 node LANs with heterogeneous 1x1/2x2/3x3 antenna
 mixes on a larger synthetic floor, in saturated and bursty variants.
-The 100/200-station tier is the workload of the batched round pipeline
-(``repro.sim.runner``, ``pipeline="batched"``); the 500-station tier
+The 100/200-station tier is the workload of the batched per-round MAC
+queries of the round pipeline (``repro.sim.runner``); the 500-station tier
 additionally declares the grouped (v3) channel-draw contract
 (``channel_draws="grouped"``), whose scalars-first construction is what
 makes a 124750-pair network draw affordable.
@@ -71,8 +71,8 @@ class Scenario:
         with an explicit ``packet_rate_pps`` overrides this hint.
     channel_draws:
         Optional suggested channel-draw contract
-        (:class:`repro.sim.network.Network`): ``"grouped"``, ``"batched"``
-        or ``"per-pair"``.  ``None`` means the default (``"batched"``).
+        (:class:`repro.sim.network.Network`): ``"grouped"`` or
+        ``"batched"``.  ``None`` means the default (``"batched"``).
         The 500-station tier declares ``"grouped"`` -- at that density
         the v2 per-pair draw order is the dominant construction cost.  A
         config with an explicit
@@ -342,7 +342,7 @@ register_scenario(
     partial(dense_lan_scenario, n_pairs=10, seed=20, packet_rate_pps=300.0,
             name="dense-lan-20-bursty"),
 )
-# The 100/200-station tier served by the batched round pipeline.  At this
+# The 100/200-station tier served by the batched round queries.  At this
 # density a saturated LAN is contention-bound (the paper's DCF model
 # collapses under 50+ simultaneous contenders, which is itself a result
 # worth reproducing), so each size also ships a bursty variant where

@@ -85,6 +85,10 @@ from repro.sim.metrics import NetworkMetrics
 from repro.sim.runner import (
     SimulationConfig,
     build_network,
+    effective_channel_draws,
+    effective_fault_profile,
+    effective_fidelity,
+    effective_validation,
     mac_seed,
     placement_seed,
     run_simulation,
@@ -741,6 +745,17 @@ def run_sweep(
         seen_keys.add(spec.key)
     if n_runs < 1:
         raise ConfigurationError("need at least one run to sweep")
+    # Same for the config knobs: an unknown contract, fault profile,
+    # fidelity or validation mode raises here, before the manifest or
+    # any cell is planned.
+    instance = factory()
+    for resolve in (
+        effective_channel_draws,
+        effective_fault_profile,
+        effective_fidelity,
+        effective_validation,
+    ):
+        resolve(instance, config)
 
     cache: Optional[Union[ResultsStore, SweepCache]] = None
     store: Optional[ResultsStore] = None
@@ -755,7 +770,7 @@ def run_sweep(
             store = cache
         # Tie keys to the scenario's structure, not just its name, so an
         # edited scenario definition cannot replay stale cells.
-        fingerprint = scenario_digest(factory())
+        fingerprint = scenario_digest(instance)
     if resume and store is None:
         raise ConfigurationError(
             "resume=True needs a cache_dir with the SQLite results store "

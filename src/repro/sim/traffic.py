@@ -202,8 +202,8 @@ class TrafficStateArrays:
         self.join_rx_antennas = np.zeros(n, dtype=np.int64)
         self.queue_space = np.ones(n, dtype=bool)
         # Every agent starts dirty so the first round refills (and thereby
-        # publishes) everyone, exactly like the per-agent loop's first
-        # ``has_traffic`` sweep at time zero.
+        # publishes) everyone, exactly like asking every agent's
+        # ``has_traffic`` at time zero.
         self.refill_pending = np.ones(n, dtype=bool)
         self._row: Dict[int, int] = {
             int(node_id): index for index, node_id in enumerate(self.node_ids)
@@ -252,7 +252,7 @@ class TrafficStateArrays:
         (``refill_pending``) or a pending arrival has come due *and* some
         queue can accept it.  Refills of agents outside the mask are
         provably no-ops, which is why the batched pipeline may skip them
-        and still match the refill-everyone reference bit for bit.
+        and still match refilling everyone bit for bit.
         """
         return self.refill_pending | (
             self.queue_space & (self.next_arrival_us <= now_us)

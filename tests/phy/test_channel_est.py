@@ -6,11 +6,7 @@ import pytest
 from repro.channel.models import awgn
 from repro.channel.multipath import MultipathChannel
 from repro.exceptions import DimensionError
-from repro.phy.channel_est import (
-    _estimate_mimo_channel_reference,
-    estimate_channel_from_ltf,
-    estimate_mimo_channel,
-)
+from repro.phy.channel_est import estimate_channel_from_ltf, estimate_mimo_channel
 from repro.phy.ofdm import OfdmConfig
 from repro.phy.preamble import Preamble, long_training_field
 
@@ -93,40 +89,46 @@ class TestMimoEstimation:
             assert np.allclose(estimate.at(k), channel, atol=1e-6)
 
 
+@pytest.fixture
+def reference_estimates(recorded_vectors):
+    """Recorded per-pair-loop estimates, by case id."""
+    cases = recorded_vectors("channel_est_reference_vectors.json")["cases"]
+    return {case["id"]: case for case in cases}
+
+
 class TestBatchedEstimationEquivalence:
-    """The stacked all-antenna-pair estimator vs the kept per-pair loop."""
+    """The stacked all-antenna-pair estimator vs the recorded estimates of
+    the per-pair loop it replaced."""
 
     @pytest.mark.parametrize("n_tx,n_rx", [(1, 1), (2, 2), (3, 3), (2, 3), (3, 2)])
-    def test_bit_identical_to_reference(self, n_tx, n_rx, rng):
+    def test_bit_identical_to_reference(self, n_tx, n_rx, rng, reference_estimates):
         preamble = Preamble(n_antennas=n_tx)
         tx_samples = preamble.per_antenna_samples()
         channel = MultipathChannel.random(n_rx, n_tx, rng, n_taps=4)
         received = awgn(channel.apply(tx_samples), 0.02, rng)
         fast = estimate_mimo_channel(received, preamble)
-        reference = _estimate_mimo_channel_reference(received, preamble)
-        assert np.array_equal(fast.matrices, reference.matrices)
-        assert np.array_equal(fast.valid_bins, reference.valid_bins)
+        reference = reference_estimates[f"tx{n_tx}-rx{n_rx}"]
+        assert np.array_equal(fast.matrices, reference["matrices"])
+        assert np.array_equal(fast.valid_bins, reference["valid_bins"])
 
-    def test_bit_identical_with_preamble_offset(self, rng):
+    def test_bit_identical_with_preamble_offset(self, rng, reference_estimates):
         preamble = Preamble(n_antennas=3)
         tx_samples = preamble.per_antenna_samples()
         channel = MultipathChannel.random(2, 3, rng, n_taps=3)
         clean = channel.apply(tx_samples)
         padded = np.concatenate([np.zeros((2, 41), dtype=complex), clean], axis=1)
         fast = estimate_mimo_channel(padded, preamble, preamble_start=41)
-        reference = _estimate_mimo_channel_reference(padded, preamble, preamble_start=41)
-        assert np.array_equal(fast.matrices, reference.matrices)
+        reference = reference_estimates["tx3-rx2/offset41"]
+        assert np.array_equal(fast.matrices, reference["matrices"])
 
-    def test_bit_identical_for_1d_input(self, rng):
+    def test_bit_identical_for_1d_input(self, reference_estimates):
         preamble = Preamble(n_antennas=1)
         received = (0.7 + 0.2j) * preamble.per_antenna_samples()[0]
         fast = estimate_mimo_channel(received, preamble)
-        reference = _estimate_mimo_channel_reference(received, preamble)
-        assert np.array_equal(fast.matrices, reference.matrices)
+        reference = reference_estimates["tx1/1d-input"]
+        assert np.array_equal(fast.matrices, reference["matrices"])
 
-    def test_short_capture_raises_like_reference(self):
+    def test_short_capture_raises(self):
         preamble = Preamble(n_antennas=2)
         with pytest.raises(DimensionError):
             estimate_mimo_channel(np.zeros((2, 100), dtype=complex), preamble)
-        with pytest.raises(DimensionError):
-            _estimate_mimo_channel_reference(np.zeros((2, 100), dtype=complex), preamble)

@@ -1,6 +1,7 @@
 """Bit-exact equivalence of the vectorized Viterbi decoder against the
-readable per-state reference implementation, across hard, soft, punctured
-and erasure inputs."""
+decoded bits recorded from the per-state implementation it replaced
+(``tests/data/viterbi_reference_vectors.json``), across hard, soft,
+punctured and erasure inputs."""
 
 from __future__ import annotations
 
@@ -13,9 +14,19 @@ from repro.phy.coding.convolutional import (
     default_encoder,
 )
 from repro.phy.coding.puncturing import depuncture, puncture
-from repro.phy.coding.viterbi import _viterbi_decode_reference, viterbi_decode
+from repro.phy.coding.viterbi import viterbi_decode
 
 RATES = [(1, 2), (2, 3), (3, 4)]
+
+
+@pytest.fixture
+def reference_bits(recorded_vectors):
+    """Recorded per-state decoder output, by case id, as an int8 array."""
+    cases = recorded_vectors("viterbi_reference_vectors.json")["cases"]
+    return {
+        case["id"]: np.array([int(bit) for bit in case["decoded"]], dtype=np.int8)
+        for case in cases
+    }
 
 
 def _flip(coded: np.ndarray, rng: np.random.Generator, p: float) -> np.ndarray:
@@ -27,17 +38,16 @@ def _flip(coded: np.ndarray, rng: np.random.Generator, p: float) -> np.ndarray:
 
 class TestHardEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_frames_with_bit_errors(self, rng_factory, seed):
+    def test_random_frames_with_bit_errors(self, rng_factory, seed, reference_bits):
         rng = rng_factory(seed)
         n = int(rng.integers(1, 600))
         bits = rng.integers(0, 2, n).astype(np.int8)
         noisy = _flip(conv_encode(bits), rng, 0.04)
         fast = viterbi_decode(noisy, n)
-        slow = _viterbi_decode_reference(noisy, n)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, reference_bits[f"hard/random/seed{seed}"])
 
     @pytest.mark.parametrize("rate", RATES)
-    def test_punctured_frames_with_erasures(self, rng, rate):
+    def test_punctured_frames_with_erasures(self, rng, rate, reference_bits):
         n = 240
         bits = rng.integers(0, 2, n).astype(np.int8)
         mother = conv_encode(bits)
@@ -45,15 +55,13 @@ class TestHardEquivalence:
         depunctured = depuncture(received, rate, mother.size)
         assert np.isnan(depunctured).any() or rate == (1, 2)
         fast = viterbi_decode(depunctured, n)
-        slow = _viterbi_decode_reference(depunctured, n)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, reference_bits[f"hard/punctured/{rate[0]}-{rate[1]}"])
 
-    def test_unterminated_frames(self, rng):
+    def test_unterminated_frames(self, rng, reference_bits):
         bits = rng.integers(0, 2, 120).astype(np.int8)
         coded = _flip(default_encoder().encode(bits, terminate=False), rng, 0.03)
         fast = viterbi_decode(coded, 120, terminated=False)
-        slow = _viterbi_decode_reference(coded, 120, terminated=False)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, reference_bits["hard/unterminated"])
 
     def test_clean_frame_decodes_exactly(self, rng):
         bits = rng.integers(0, 2, 333).astype(np.int8)
@@ -63,18 +71,17 @@ class TestHardEquivalence:
 
 class TestSoftEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_llr_frames(self, rng_factory, seed):
+    def test_random_llr_frames(self, rng_factory, seed, reference_bits):
         rng = rng_factory(100 + seed)
         n = int(rng.integers(1, 500))
         bits = rng.integers(0, 2, n).astype(np.int8)
         coded = conv_encode(bits)
         llrs = (1.0 - 2.0 * coded) * 3.0 + rng.normal(0.0, 1.5, coded.size)
         fast = viterbi_decode(llrs, n, soft=True)
-        slow = _viterbi_decode_reference(llrs, n, soft=True)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, reference_bits[f"soft/random/seed{100 + seed}"])
 
     @pytest.mark.parametrize("rate", RATES)
-    def test_punctured_llrs_with_erasures(self, rng, rate):
+    def test_punctured_llrs_with_erasures(self, rng, rate, reference_bits):
         n = 180
         bits = rng.integers(0, 2, n).astype(np.int8)
         mother = conv_encode(bits)
@@ -82,8 +89,7 @@ class TestSoftEquivalence:
         llrs = (1.0 - 2.0 * kept) * 2.0 + rng.normal(0.0, 2.0, kept.size)
         depunctured = depuncture(llrs, rate, mother.size)
         fast = viterbi_decode(depunctured, n, soft=True)
-        slow = _viterbi_decode_reference(depunctured, n, soft=True)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, reference_bits[f"soft/punctured/{rate[0]}-{rate[1]}"])
 
     def test_erasures_contribute_zero_metric(self, rng):
         # A frame whose erased positions carry huge LLRs must decode the
@@ -102,13 +108,12 @@ class TestSoftEquivalence:
 
 
 class TestCustomEncoders:
-    def test_non_default_polynomials(self, rng):
+    def test_non_default_polynomials(self, rng, reference_bits):
         encoder = ConvolutionalEncoder(g0=0o5, g1=0o7, constraint_length=3)
         bits = rng.integers(0, 2, 80).astype(np.int8)
         noisy = _flip(encoder.encode(bits), rng, 0.05)
         fast = viterbi_decode(noisy, 80, encoder=encoder)
-        slow = _viterbi_decode_reference(noisy, 80, encoder=encoder)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, reference_bits["hard/custom-encoder-5-7-k3"])
 
     def test_trellis_tables_are_cached_and_shared(self):
         first = ConvolutionalEncoder()

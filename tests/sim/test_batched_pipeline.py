@@ -1,17 +1,20 @@
-"""Tests for the batched round pipeline.
+"""Tests for the round pipeline and its batched per-round queries.
 
 The load-bearing guarantees:
 
-* the batched pipeline produces metrics bit-identical to the per-agent
-  reference pipeline (and to the condensed slot-polling loop) for
-  saturated and bursty traffic, on the paper topologies and dense LANs;
-* the batched ``has_traffic`` / ``next_traffic_time_us`` / join-eligibility
-  masks agree with the per-agent methods at every round of a real run
-  (checked by a cross-checking loop subclass);
+* the pipeline reproduces, bit for bit, the metrics recorded from the
+  per-agent scans and the condensed slot-polling loop it replaced
+  (``tests/data/round_pipeline_vectors.json``), for saturated and bursty
+  traffic, on the paper topologies and dense LANs;
+* the batched ``has_traffic`` / ``next_traffic_time_us`` /
+  join-eligibility masks agree with the agents' own methods at every
+  round of a real run (checked by a cross-checking loop subclass);
+* a joining protocol that does not declare the vectorized join rule is
+  asked through its own ``can_join`` and still reproduces n+ exactly;
 * results do not depend on the order the agents were built in (shuffled
   pair order, same network, same metrics);
-* the vectorised idle-gap computation reproduces the kept slot-stepping
-  reference loop bit for bit.
+* the vectorised idle-gap computation reproduces the recorded
+  slot-stepping walk bit for bit (``tests/data/idle_end_vectors.json``).
 """
 
 import os
@@ -19,15 +22,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.mac.nplus import NPlusMac
+from repro.mac.variants import _VARIANTS, register_variant
 from repro.sim.runner import (
     SimulationConfig,
-    _BatchedEventDrivenLoop,
     _ESTIMATION_STREAM_TAG,
     _EventDrivenLoop,
-    _run_simulation_condensed_reference,
     _slot_aligned_idle_end,
-    _slot_aligned_idle_end_reference,
     build_network,
     run_simulation,
 )
@@ -42,66 +43,42 @@ FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
 
 
 class TestPipelineEquivalence:
-    """batched == per-agent == condensed, bit for bit."""
+    """The pipeline == the recorded per-agent/condensed metrics, bit for bit."""
 
     @pytest.mark.parametrize("protocol", ["802.11n", "n+", "beamforming"])
-    def test_three_pair_all_protocols(self, protocol):
-        batched = run_simulation(
-            three_pair_scenario(), protocol, seed=11, config=FAST, pipeline="batched"
-        )
-        per_agent = run_simulation(
-            three_pair_scenario(), protocol, seed=11, config=FAST, pipeline="per-agent"
-        )
-        condensed = _run_simulation_condensed_reference(
-            three_pair_scenario(), protocol, seed=11, config=FAST
-        )
-        assert batched.to_dict() == per_agent.to_dict() == condensed.to_dict()
+    def test_three_pair_all_protocols(self, protocol, recorded_metrics):
+        metrics = run_simulation(three_pair_scenario(), protocol, seed=11, config=FAST)
+        assert metrics.to_dict() == recorded_metrics[f"three-pair/{protocol}/seed11"]
 
     @pytest.mark.parametrize("name", ["dense-lan-20", "dense-lan-30", "dense-lan-50"])
-    def test_dense_lans(self, name):
+    def test_dense_lans(self, name, recorded_metrics):
         scenario = scenario_factory(name)()
         config = SimulationConfig(duration_us=4_000.0, n_subcarriers=8)
-        batched = run_simulation(scenario, "n+", seed=3, config=config, pipeline="batched")
-        per_agent = run_simulation(
-            scenario, "n+", seed=3, config=config, pipeline="per-agent"
-        )
-        assert batched.to_dict() == per_agent.to_dict()
+        metrics = run_simulation(scenario, "n+", seed=3, config=config)
+        assert metrics.to_dict() == recorded_metrics[f"{name}/n+/seed3"]
 
     @pytest.mark.parametrize("rate_pps", [60.0, 300.0])
-    def test_bursty_traffic(self, rate_pps):
+    def test_bursty_traffic(self, rate_pps, recorded_metrics):
         config = SimulationConfig(
             duration_us=25_000.0, n_subcarriers=8, packet_rate_pps=rate_pps
         )
-        batched = run_simulation(
-            three_pair_scenario(), "n+", seed=5, config=config, pipeline="batched"
-        )
-        per_agent = run_simulation(
-            three_pair_scenario(), "n+", seed=5, config=config, pipeline="per-agent"
-        )
-        condensed = _run_simulation_condensed_reference(
-            three_pair_scenario(), "n+", seed=5, config=config
-        )
-        assert batched.to_dict() == per_agent.to_dict() == condensed.to_dict()
+        metrics = run_simulation(three_pair_scenario(), "n+", seed=5, config=config)
+        recorded = recorded_metrics[f"three-pair/n+/seed5/rate{rate_pps:g}"]
+        assert metrics.to_dict() == recorded
 
-    def test_bursty_dense_lan(self):
+    def test_bursty_dense_lan(self, recorded_metrics):
         scenario = scenario_factory("dense-lan-20-bursty")()
         config = SimulationConfig(duration_us=6_000.0, n_subcarriers=8)
-        batched = run_simulation(scenario, "n+", seed=2, config=config, pipeline="batched")
-        per_agent = run_simulation(
-            scenario, "n+", seed=2, config=config, pipeline="per-agent"
-        )
-        assert batched.to_dict() == per_agent.to_dict()
-
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_simulation(three_pair_scenario(), "n+", config=FAST, pipeline="turbo")
+        metrics = run_simulation(scenario, "n+", seed=2, config=config)
+        assert metrics.to_dict() == recorded_metrics["dense-lan-20-bursty/n+/seed2"]
 
 
-class _CheckedBatchedLoop(_BatchedEventDrivenLoop):
-    """Batched loop that cross-checks every batched query against the
-    per-agent computation, mid-run, on live simulation state.
+class _CheckedLoop(_EventDrivenLoop):
+    """Loop that cross-checks every batched query against the agents' own
+    ``has_traffic`` / ``next_traffic_time_us`` / ``can_join``, mid-run, on
+    live simulation state.
 
-    The cross-checks are side-effect-free: the per-agent scans re-refill
+    The cross-checks are side-effect-free: the per-agent calls re-refill
     agents the batched path already refilled (or skipped as provable
     no-ops), so the simulation trajectory is untouched -- which the tests
     confirm by comparing the final metrics against an unchecked run.
@@ -121,13 +98,22 @@ class _CheckedBatchedLoop(_BatchedEventDrivenLoop):
 
     def _next_traffic_time_us(self, now):
         batched = super()._next_traffic_time_us(now)
-        reference = _EventDrivenLoop._next_traffic_time_us(self, now)
+        reference = min(
+            (a.next_traffic_time_us(now) for a in self.agents.values()),
+            default=float("inf"),
+        )
         assert batched == reference
         return batched
 
     def _join_eligible(self, now, exhausted):
         batched = super()._join_eligible(now, exhausted)
-        reference = _EventDrivenLoop._join_eligible(self, now, exhausted)
+        reference = [
+            a
+            for a in self.agents.values()
+            if a.supports_joining
+            and a.node_id not in exhausted
+            and a.can_join(now, self.medium, self.config.min_join_airtime_us)
+        ]
         assert [a.node_id for a in batched] == sorted(a.node_id for a in reference)
         self.checked_join_rounds += 1
         return batched
@@ -136,7 +122,7 @@ class _CheckedBatchedLoop(_BatchedEventDrivenLoop):
 def _run_checked(scenario, seed, config):
     network = build_network(scenario, seed, config)
     network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
-    loop = _CheckedBatchedLoop(
+    loop = _CheckedLoop(
         scenario, "n+", np.random.default_rng(seed), config, network, seed=seed
     )
     return loop, loop.run()
@@ -176,7 +162,7 @@ class TestMaskEquivalence:
         scenario = scenario_factory("dense-lan-20")()
         config = SimulationConfig(duration_us=1_000.0, n_subcarriers=8)
         network = build_network(scenario, 1, config)
-        loop = _BatchedEventDrivenLoop(
+        loop = _EventDrivenLoop(
             scenario, "n+", np.random.default_rng(1), config, network, seed=1
         )
         arrays = loop.arrays
@@ -193,12 +179,63 @@ class TestMaskEquivalence:
         assert np.isinf(arrays.next_arrival_us).all()
 
 
+class _UndeclaredJoinMac(NPlusMac):
+    """n+ whose agents do not declare ``vectorized_join_eligibility``, so
+    the runner must ask each joiner's own ``can_join``."""
+
+    protocol_name = "n+-undeclared-join"
+    vectorized_join_eligibility = False
+    can_join_calls = 0
+
+    def can_join(self, now_us, medium, min_airtime_us):
+        type(self).can_join_calls += 1
+        return super().can_join(now_us, medium, min_airtime_us)
+
+
+@pytest.fixture
+def undeclared_join_protocol():
+    name = _UndeclaredJoinMac.protocol_name
+    register_variant(name, _UndeclaredJoinMac, overwrite=True)
+    _UndeclaredJoinMac.can_join_calls = 0
+    try:
+        yield name
+    finally:
+        _VARIANTS.pop(name, None)
+
+
+class TestCanJoinFallback:
+    """A joining protocol without the vectorized-join declaration takes
+    the per-agent ``can_join`` path and still reproduces n+ exactly."""
+
+    @pytest.mark.parametrize(
+        "name,seed,duration_us,case_id",
+        [
+            ("three-pair", 11, 10_000.0, "three-pair/n+/seed11"),
+            ("dense-lan-20-bursty", 2, 6_000.0, "dense-lan-20-bursty/n+/seed2"),
+        ],
+    )
+    def test_undeclared_joiner_matches_recorded_metrics(
+        self,
+        name,
+        seed,
+        duration_us,
+        case_id,
+        undeclared_join_protocol,
+        recorded_metrics,
+    ):
+        config = SimulationConfig(duration_us=duration_us, n_subcarriers=8)
+        metrics = run_simulation(
+            scenario_factory(name)(), undeclared_join_protocol, seed=seed, config=config
+        )
+        assert _UndeclaredJoinMac.can_join_calls > 0
+        assert metrics.to_dict() == recorded_metrics[case_id]
+
+
 class TestShuffledAgentOrderDeterminism:
     """Metrics are a function of the topology, not of agent build order."""
 
-    @pytest.mark.parametrize("pipeline", ["batched", "per-agent"])
     @pytest.mark.parametrize("rate_pps", [None, 250.0])
-    def test_reversed_pair_order_is_identical(self, pipeline, rate_pps):
+    def test_reversed_pair_order_is_identical(self, rate_pps, recorded_metrics):
         scenario = dense_lan_scenario(n_pairs=6, seed=9, packet_rate_pps=rate_pps)
         shuffled = Scenario(
             scenario.name,
@@ -209,48 +246,51 @@ class TestShuffledAgentOrderDeterminism:
         )
         config = SimulationConfig(duration_us=6_000.0, n_subcarriers=8)
         network = build_network(scenario, 4, config)
-        forward = run_simulation(
-            scenario, "n+", seed=4, config=config, network=network, pipeline=pipeline
-        )
+        forward = run_simulation(scenario, "n+", seed=4, config=config, network=network)
         reversed_order = run_simulation(
-            shuffled, "n+", seed=4, config=config, network=network, pipeline=pipeline
+            shuffled, "n+", seed=4, config=config, network=network
         )
         assert forward.to_dict() == reversed_order.to_dict()
+        recorded = recorded_metrics[f"dense-lan-6pairs-seed9/n+/seed4/rate{rate_pps}"]
+        assert forward.to_dict() == recorded
+
+
+@pytest.fixture
+def idle_ends(recorded_vectors):
+    """Recorded slot-stepping results, by ``(now, arrival, window)``."""
+    table = {}
+    for case in recorded_vectors("idle_end_vectors.json")["cases"]:
+        arrival = case["next_arrival_us"]
+        arrival = float("inf") if arrival is None else arrival
+        table[(case["now_us"], arrival, case["duration_us"])] = case["idle_end_us"]
+    return table
 
 
 class TestSlotAlignedIdleEnd:
-    """The vectorised idle-gap computation vs the kept stepping loop."""
+    """The vectorised idle-gap computation vs the recorded stepping walk."""
 
-    def test_matches_reference_on_random_gaps(self):
+    def test_matches_reference_on_random_gaps(self, idle_ends):
         rng = np.random.default_rng(0)
         for _ in range(300):
             now = float(rng.uniform(0.0, 1e6))
             arrival = now + float(rng.uniform(0.0, 2e5))
             duration = float(rng.uniform(0.0, 1e6))
-            fast = _slot_aligned_idle_end(now, arrival, duration)
-            reference = _slot_aligned_idle_end_reference(now, arrival, duration)
-            assert fast == reference
+            expected = idle_ends[(now, arrival, duration)]
+            assert _slot_aligned_idle_end(now, arrival, duration) == expected
 
-    def test_immediate_cases(self):
-        assert _slot_aligned_idle_end(100.0, 50.0, 1e6) == (
-            _slot_aligned_idle_end_reference(100.0, 50.0, 1e6)
-        )
-        assert _slot_aligned_idle_end(100.0, float("inf"), 90.0) == (
-            _slot_aligned_idle_end_reference(100.0, float("inf"), 90.0)
-        )
+    def test_immediate_cases(self, idle_ends):
+        for gap in ((100.0, 50.0, 1e6), (100.0, float("inf"), 90.0)):
+            assert _slot_aligned_idle_end(*gap) == idle_ends[gap]
 
-    def test_infinite_arrival_stops_at_window_end(self):
-        fast = _slot_aligned_idle_end(0.0, float("inf"), 5_000.0)
-        reference = _slot_aligned_idle_end_reference(0.0, float("inf"), 5_000.0)
-        assert fast == reference
+    def test_infinite_arrival_stops_at_window_end(self, idle_ends):
+        gap = (0.0, float("inf"), 5_000.0)
+        assert _slot_aligned_idle_end(*gap) == idle_ends[gap]
 
-    def test_gap_longer_than_one_chunk(self):
+    def test_gap_longer_than_one_chunk(self, idle_ends):
         """A gap of ~70k slots spans several 64k-element cumsum chunks."""
         now = 123.456
-        arrival = now + 70_000 * 9.0 + 1.0
-        fast = _slot_aligned_idle_end(now, arrival, 1e9)
-        reference = _slot_aligned_idle_end_reference(now, arrival, 1e9)
-        assert fast == reference
+        gap = (now, now + 70_000 * 9.0 + 1.0, 1e9)
+        assert _slot_aligned_idle_end(*gap) == idle_ends[gap]
 
 
 class TestDenseLan100:

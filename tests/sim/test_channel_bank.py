@@ -11,7 +11,7 @@ The load-bearing guarantees:
   equivalent sequence of per-channel ``perturb_channel`` calls;
 * ``Network.prefetch_estimates`` fills the estimate memo in stacked
   draws under the grouped contract and is a strict no-op under the v2
-  contracts (their lazy draw order is part of v2 reproducibility).
+  contract (its lazy draw order is part of v2 reproducibility).
 """
 
 import numpy as np
@@ -19,11 +19,9 @@ import pytest
 
 from repro.channel.hardware import HardwareProfile
 from repro.exceptions import DimensionError
-from repro.sim.network import ChannelBank, Network
+from repro.sim.network import DRAW_CONTRACTS, ChannelBank, Network
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import custom_pairs_scenario, three_pair_scenario
-
-ALL_CONTRACTS = ("grouped", "batched", "per-pair")
 
 
 def _network(mode, seed=3, antenna_counts=(1, 2, 3, 2)):
@@ -38,7 +36,7 @@ def _network(mode, seed=3, antenna_counts=(1, 2, 3, 2)):
 
 
 class TestSharedViewInvariant:
-    @pytest.mark.parametrize("mode", ALL_CONTRACTS)
+    @pytest.mark.parametrize("mode", DRAW_CONTRACTS)
     def test_reciprocal_is_a_transposed_view_not_a_copy(self, mode):
         network = _network(mode)
         forward = network.true_channel(0, 3)
@@ -46,7 +44,7 @@ class TestSharedViewInvariant:
         assert np.array_equal(reverse, forward.transpose(0, 2, 1))
         assert np.shares_memory(forward, reverse)
 
-    @pytest.mark.parametrize("mode", ALL_CONTRACTS)
+    @pytest.mark.parametrize("mode", DRAW_CONTRACTS)
     def test_mutating_a_returned_channel_raises(self, mode):
         """The regression test of the shared-view invariant: a consumer
         writing into a channel would silently corrupt the reciprocal
@@ -68,7 +66,7 @@ class TestSharedViewInvariant:
 
 
 class TestChannelBankIndex:
-    @pytest.mark.parametrize("mode", ALL_CONTRACTS)
+    @pytest.mark.parametrize("mode", DRAW_CONTRACTS)
     def test_lookup_is_consistent_with_the_stacks(self, mode):
         network = _network(mode)
         bank = network.channels
@@ -137,13 +135,12 @@ class TestPerturbChannelBatch:
 
 class TestPrefetchEstimates:
     def test_noop_under_v2_contracts(self):
-        for mode in ("batched", "per-pair"):
-            network = _network(mode)
-            network.reseed_estimation_noise(5)
-            state_before = network._estimation_rng.bit_generator.state
-            network.prefetch_estimates([(0, 1, False), (0, 3, True)])
-            assert network._estimate_memo == {}
-            assert network._estimation_rng.bit_generator.state == state_before
+        network = _network("batched")
+        network.reseed_estimation_noise(5)
+        state_before = network._estimation_rng.bit_generator.state
+        network.prefetch_estimates([(0, 1, False), (0, 3, True)])
+        assert network._estimate_memo == {}
+        assert network._estimation_rng.bit_generator.state == state_before
 
     def test_fills_the_memo_under_grouped(self):
         network = _network("grouped")

@@ -5,9 +5,11 @@ The load-bearing guarantees:
 * an **empty** fault schedule is a strict no-op: metrics are
   bit-identical to a run that never imported the fault layer;
 * faulted runs are a pure function of the seed (dedicated
-  ``(seed, FAULT_STREAM_TAG, ...)`` streams), identical across
-  pipelines and across the plan-cache on/off switch -- the epoch-keyed
-  caches never serve a stale entry;
+  ``(seed, FAULT_STREAM_TAG, ...)`` streams), equal to the metrics
+  recorded from the per-agent scans
+  (``tests/data/round_pipeline_vectors.json``) and identical across the
+  plan-cache on/off switch -- the epoch-keyed caches never serve a stale
+  entry;
 * a fade scales both directions of a link in place and an ended fade
   restores the channel **bit-exactly**;
 * ``bump_link_epoch`` evicts exactly the bumped link's estimate-memo
@@ -36,7 +38,6 @@ from repro.sim.faults import (
 from repro.sim.network import Network
 from repro.sim.runner import (
     SimulationConfig,
-    _run_simulation_condensed_reference,
     build_fault_schedule,
     build_network,
     effective_fault_profile,
@@ -146,12 +147,9 @@ class TestFaultedDeterminism:
         clean = run_simulation(FAULTY(), "n+", seed=7, config=off)
         assert faulty.to_dict() != clean.to_dict()
 
-    def test_pipelines_agree_under_faults(self):
-        batched = run_simulation(FAULTY(), "n+", seed=3, config=FAST, pipeline="batched")
-        per_agent = run_simulation(
-            FAULTY(), "n+", seed=3, config=FAST, pipeline="per-agent"
-        )
-        assert batched.to_dict() == per_agent.to_dict()
+    def test_matches_recorded_per_agent_metrics(self, recorded_metrics):
+        metrics = run_simulation(FAULTY(), "n+", seed=3, config=FAST)
+        assert metrics.to_dict() == recorded_metrics["dense-lan-20-faulty/n+/seed3"]
 
     def test_schedule_is_a_pure_function_of_the_seed(self):
         profile = fault_profile("mixed")
@@ -163,16 +161,13 @@ class TestFaultedDeterminism:
         assert a.episodes != c.episodes
         assert a.episodes  # mixed at 50 ms on 20 stations generates episodes
 
-    def test_condensed_reference_refuses_faults(self):
-        with pytest.raises(ConfigurationError):
-            _run_simulation_condensed_reference(FAULTY(), "n+", seed=1, config=FAST)
-
-    def test_condensed_reference_runs_with_faults_disabled(self):
+    def test_faults_disabled_matches_recorded_condensed_metrics(self, recorded_metrics):
         config = SimulationConfig(
             duration_us=10_000.0, n_subcarriers=8, fault_profile="none"
         )
-        metrics = _run_simulation_condensed_reference(FAULTY(), "n+", seed=1, config=config)
-        assert metrics.total_throughput_mbps() >= 0.0
+        metrics = run_simulation(FAULTY(), "n+", seed=1, config=config)
+        recorded = recorded_metrics["dense-lan-20-faulty/n+/seed1/no-faults"]
+        assert metrics.to_dict() == recorded
 
 
 class TestEpochInvalidation:

@@ -5,7 +5,9 @@ Four contracts under test:
 * ``fidelity="abstraction"`` (the default) is a strict no-op -- existing
   golden seeded metrics are reproduced bit-for-bit;
 * ``fidelity="auto"``/``"full"`` results are a pure function of the seed
-  across pipelines, plan-cache settings and sweep worker counts, with
+  across plan-cache settings and sweep worker counts (and equal to the
+  metrics recorded from the per-agent scans,
+  ``tests/data/round_pipeline_vectors.json``), with
   escalated verdicts memoized per (link epoch, stream signature);
 * the cross-fidelity validation harness agrees with the abstraction
   outside the uncertainty band at a pinned rate (and its disagreements
@@ -35,7 +37,6 @@ from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.runner import (
     SimulationConfig,
-    _run_simulation_condensed_reference,
     build_network,
     effective_fidelity,
     effective_fidelity_band_db,
@@ -72,15 +73,6 @@ class TestResolution:
         config = SimulationConfig(fidelity="magic")
         with pytest.raises(ConfigurationError):
             effective_fidelity(three_pair_scenario(), config)
-
-    def test_condensed_reference_refuses_escalating_configs(self):
-        with pytest.raises(ConfigurationError):
-            _run_simulation_condensed_reference(
-                three_pair_scenario(),
-                "n+",
-                seed=0,
-                config=SimulationConfig(duration_us=5_000.0, fidelity="auto"),
-            )
 
 
 class TestAbstractionBitIdentical:
@@ -145,18 +137,15 @@ class TestAutoGoldenSnapshot:
 class TestAutoDeterminism:
     """Escalated verdicts are a pure function of the seed."""
 
-    def test_pipelines_and_plan_cache_bit_identical(self):
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    def test_plan_cache_and_recorded_metrics_bit_identical(
+        self, plan_cache, recorded_metrics
+    ):
         scenario = scenario_factory("dense-lan-20-bursty")()
-        reference = _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO))
-        for kwargs in (
-            dict(pipeline="per-agent"),
-            dict(plan_cache=False),
-            dict(pipeline="per-agent", plan_cache=False),
-        ):
-            assert (
-                _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO, **kwargs))
-                == reference
-            ), kwargs
+        metrics = run_simulation(
+            scenario, "n+", seed=7, config=AUTO, plan_cache=plan_cache
+        )
+        assert _dicts(metrics) == recorded_metrics["dense-lan-20-bursty/n+/seed7/auto"]
 
     def test_sweep_workers_bit_identical(self):
         config = SimulationConfig(

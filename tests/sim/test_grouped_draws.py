@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.sim.network import Network
 from repro.sim.runner import (
     SimulationConfig,
@@ -167,10 +168,15 @@ class TestContractResolution:
     def test_config_beats_scenario_hint(self):
         scenario = dense_lan_scenario(n_pairs=3, seed=1, channel_draws="grouped")
         assert effective_channel_draws(scenario, SimulationConfig()) == "grouped"
-        override = SimulationConfig(channel_draws="per-pair")
-        assert effective_channel_draws(scenario, override) == "per-pair"
+        override = SimulationConfig(channel_draws="batched")
+        assert effective_channel_draws(scenario, override) == "batched"
         plain = three_pair_scenario()
         assert effective_channel_draws(plain, SimulationConfig()) == "batched"
+
+    def test_unknown_contract_rejected(self):
+        config = SimulationConfig(channel_draws="per-pair")
+        with pytest.raises(ConfigurationError, match="per-pair"):
+            effective_channel_draws(three_pair_scenario(), config)
 
     def test_build_network_honours_the_contract(self):
         scenario = dense_lan_scenario(n_pairs=3, seed=1, channel_draws="grouped")

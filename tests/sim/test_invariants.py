@@ -17,11 +17,7 @@ from repro.sim.invariants import (
     _REGISTRY,
 )
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
-from repro.sim.runner import (
-    SimulationConfig,
-    _run_simulation_condensed_reference,
-    run_simulation,
-)
+from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import scenario_factory
 
 FAST = SimulationConfig(duration_us=4000.0, n_subcarriers=4)
@@ -213,15 +209,6 @@ class TestRunnerIntegration:
         finally:
             _REGISTRY.pop("test-probe-off", None)
         assert calls["n"] == 0
-
-    def test_condensed_reference_refuses_validation(self):
-        config = SimulationConfig(
-            duration_us=4000.0, n_subcarriers=4, validation="cheap"
-        )
-        with pytest.raises(ConfigurationError, match="invariant layer"):
-            _run_simulation_condensed_reference(
-                THREE_PAIR(), "n+", seed=3, config=config
-            )
 
 
 class TestInvariantViolation:

@@ -1,11 +1,15 @@
 """Tests for the batched network-construction pipeline.
 
 The load-bearing guarantee: the batched draws -- grouped tap scaling, one
-stacked FFT per antenna-shape group -- are *bit-identical* to the kept
-per-pair reference loop, for every antenna mix, with and without forced
-link SNRs, all the way down to the post-draw generator state (so every
-downstream draw, and therefore every simulated metric, is unchanged).
+stacked FFT per antenna-shape group -- are *bit-identical* to the
+per-pair loop they replaced, for every antenna mix, with and without
+forced link SNRs, all the way down to the post-draw generator state (so
+every downstream draw, and therefore every simulated metric, is
+unchanged).  The per-pair outputs are recorded in
+``tests/data/per_pair_draw_vectors.json``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,33 +26,39 @@ from repro.sim.scenarios import (
 )
 
 
-def _build_both(scenario, seed, **kwargs):
-    rng_batched = np.random.default_rng(seed)
-    rng_reference = np.random.default_rng(seed)
-    batched = Network(
-        scenario.stations, scenario.pairs, rng_batched, channel_draws="batched", **kwargs
-    )
-    reference = Network(
-        scenario.stations,
-        scenario.pairs,
-        rng_reference,
-        channel_draws="per-pair",
-        **kwargs,
-    )
-    return batched, reference, rng_batched, rng_reference
+@pytest.fixture
+def per_pair_cases(recorded_vectors):
+    """The recorded per-pair draw cases, by id."""
+    cases = recorded_vectors("per_pair_draw_vectors.json")["cases"]
+    return {case["id"]: case for case in cases}
 
 
-def _assert_identical(batched, reference, rng_batched, rng_reference):
-    assert set(batched.channels.pairs()) == set(reference.channels.pairs())
-    for a, b in reference.channels.pairs():
-        for tx, rx in ((a, b), (b, a)):
-            assert batched.link_snr_db(tx, rx) == reference.link_snr_db(tx, rx)
-            assert np.array_equal(
-                batched.true_channel(tx, rx), reference.true_channel(tx, rx)
-            ), (tx, rx)
+def _build(scenario, seed, **kwargs):
+    rng = np.random.default_rng(seed)
+    network = Network(
+        scenario.stations, scenario.pairs, rng, channel_draws="batched", **kwargs
+    )
+    return network, rng
+
+
+def _assert_matches_recorded(network, rng, case):
+    links = sorted(network.channels.pairs())
+    assert links == [(link["tx"], link["rx"]) for link in case["links"]]
+    for (a, b), link in zip(links, case["links"]):
+        assert network.link_snr_db(a, b) == link["snr_db"]
+        assert network.link_snr_db(b, a) == link["reverse_snr_db"]
+        channel = network.true_channel(a, b)
+        assert list(channel.shape) == link["shape"]
+        digest = hashlib.sha256(np.ascontiguousarray(channel).tobytes()).hexdigest()
+        assert digest == link["sha256"], (a, b)
     # Both paths consumed exactly the same random numbers, so everything
     # drawn afterwards (estimation noise fallback, MAC draws) agrees too.
-    assert rng_batched.bit_generator.state == rng_reference.bit_generator.state
+    state = rng.bit_generator.state
+    recorded = case["post_draw_state"]
+    assert str(state["state"]["state"]) == recorded["state"]
+    assert str(state["state"]["inc"]) == recorded["inc"]
+    assert state["has_uint32"] == recorded["has_uint32"]
+    assert state["uinteger"] == recorded["uinteger"]
 
 
 class TestBatchedDrawsBitIdentical:
@@ -56,43 +66,46 @@ class TestBatchedDrawsBitIdentical:
         "antenna_counts",
         [[1, 1], [2, 2], [3, 3, 3], [1, 2, 3], [3, 1, 2, 2, 1]],
     )
-    def test_antenna_mixes(self, antenna_counts):
+    def test_antenna_mixes(self, antenna_counts, per_pair_cases):
         scenario = custom_pairs_scenario(antenna_counts)
-        _assert_identical(*_build_both(scenario, seed=3, n_subcarriers=8))
+        case = per_pair_cases["antennas-" + "-".join(map(str, antenna_counts))]
+        _assert_matches_recorded(*_build(scenario, seed=3, n_subcarriers=8), case)
 
-    def test_forced_snr_links(self):
+    def test_forced_snr_links(self, per_pair_cases):
         scenario = three_pair_scenario()
         forced = {(0, 1): 12.0, (2, 3): 25.0, (5, 4): 7.5}
-        _assert_identical(
-            *_build_both(scenario, seed=5, n_subcarriers=8, forced_link_snrs_db=forced)
+        _assert_matches_recorded(
+            *_build(scenario, seed=5, n_subcarriers=8, forced_link_snrs_db=forced),
+            per_pair_cases["three-pair/forced-snrs"],
         )
 
-    def test_dense_lan_on_dense_testbed(self):
+    def test_dense_lan_on_dense_testbed(self, per_pair_cases):
         scenario = dense_lan_scenario(n_pairs=8, seed=11)
-        _assert_identical(
-            *_build_both(scenario, seed=2, n_subcarriers=8, testbed=scenario.make_testbed())
+        _assert_matches_recorded(
+            *_build(scenario, seed=2, n_subcarriers=8, testbed=scenario.make_testbed()),
+            per_pair_cases["dense-lan-8pairs-seed11"],
         )
 
-    def test_full_subcarrier_resolution(self):
+    def test_full_subcarrier_resolution(self, per_pair_cases):
         scenario = three_pair_scenario()
-        _assert_identical(*_build_both(scenario, seed=9, n_subcarriers=64))
+        _assert_matches_recorded(
+            *_build(scenario, seed=9, n_subcarriers=64),
+            per_pair_cases["three-pair/64-subcarriers"],
+        )
 
-    def test_downstream_metrics_identical(self):
+    def test_downstream_metrics_identical(self, per_pair_cases):
         """Same channels -> bit-identical simulated metrics."""
         config = SimulationConfig(duration_us=8_000.0, n_subcarriers=8)
         scenario = three_pair_scenario()
-        batched, reference, _, _ = _build_both(scenario, seed=6, n_subcarriers=8)
-        on_batched = run_simulation(
-            scenario, "n+", seed=21, config=config, network=batched
-        )
-        on_reference = run_simulation(
-            scenario, "n+", seed=21, config=config, network=reference
-        )
-        assert on_batched.to_dict() == on_reference.to_dict()
+        case = per_pair_cases["three-pair/downstream"]
+        network, rng = _build(scenario, seed=6, n_subcarriers=8)
+        _assert_matches_recorded(network, rng, case)
+        metrics = run_simulation(scenario, "n+", seed=21, config=config, network=network)
+        assert metrics.to_dict() == case["metrics"]
 
     def test_empty_network_still_builds(self):
         """No stations -> no pairs, on every draw path."""
-        for mode in ("batched", "per-pair", "grouped"):
+        for mode in ("batched", "grouped"):
             network = Network([], [], np.random.default_rng(0), channel_draws=mode)
             assert network.channels.n_pairs == 0 and network.channels.n_groups == 0
 

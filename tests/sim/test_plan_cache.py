@@ -19,8 +19,8 @@ import pytest
 from repro.mac.plan import PlanCache, stream_signature
 from repro.sim.runner import (
     SimulationConfig,
-    _BatchedEventDrivenLoop,
     _ESTIMATION_STREAM_TAG,
+    _EventDrivenLoop,
     build_network,
     run_simulation,
 )
@@ -98,25 +98,14 @@ class TestPlanCacheEquivalence:
         off = run_simulation(scenario, "n+", seed=2, config=config, plan_cache=False)
         assert on.to_dict() == off.to_dict()
 
-    @pytest.mark.parametrize("pipeline", ["batched", "per-agent"])
-    def test_cache_is_pipeline_independent(self, pipeline):
-        on = run_simulation(
-            three_pair_scenario(),
-            "n+",
-            seed=5,
-            config=FAST,
-            pipeline=pipeline,
-            plan_cache=True,
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    def test_cache_matches_recorded_metrics(self, plan_cache, recorded_metrics):
+        """Cached and uncached runs both reproduce the metrics recorded
+        from the per-agent scans and the condensed loop."""
+        metrics = run_simulation(
+            three_pair_scenario(), "n+", seed=5, config=FAST, plan_cache=plan_cache
         )
-        off = run_simulation(
-            three_pair_scenario(),
-            "n+",
-            seed=5,
-            config=FAST,
-            pipeline=pipeline,
-            plan_cache=False,
-        )
-        assert on.to_dict() == off.to_dict()
+        assert metrics.to_dict() == recorded_metrics["three-pair/n+/seed5"]
 
 
 class TestPlanCacheHits:
@@ -124,7 +113,7 @@ class TestPlanCacheHits:
         network = build_network(scenario, seed, config)
         network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
         cache = PlanCache()
-        loop = _BatchedEventDrivenLoop(
+        loop = _EventDrivenLoop(
             scenario,
             "n+",
             np.random.default_rng(seed),

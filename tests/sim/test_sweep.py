@@ -6,8 +6,10 @@ The load-bearing guarantees:
   ``run_many``) for a fixed seed;
 * the on-disk cache replays unchanged cells and invalidates on any
   config change;
-* the event-driven runner matches the condensed-loop reference bit for
-  bit, for saturated and bursty traffic.
+* the event-driven runner matches the metrics recorded from the
+  condensed slot-polling loop bit for bit, for saturated and bursty
+  traffic (``tests/data/round_pipeline_vectors.json``);
+* a bad config knob is rejected up front, before anything is stored.
 """
 
 import numpy as np
@@ -17,7 +19,6 @@ from repro.exceptions import ConfigurationError
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
 from repro.sim.runner import (
     SimulationConfig,
-    _run_simulation_condensed_reference,
     run_many,
     run_simulation,
     simulate_placement,
@@ -34,37 +35,31 @@ def _as_dicts(results):
 
 
 class TestRunnerEquivalence:
-    """The event-driven loop vs the kept condensed-loop reference."""
+    """The event-driven loop vs the recorded condensed-loop metrics."""
 
     @pytest.mark.parametrize("protocol", ["802.11n", "n+", "beamforming"])
-    def test_saturated_traffic_is_bit_identical(self, protocol):
+    def test_saturated_traffic_is_bit_identical(self, protocol, recorded_metrics):
         fast = run_simulation(three_pair_scenario(), protocol, seed=11, config=FAST)
-        reference = _run_simulation_condensed_reference(
-            three_pair_scenario(), protocol, seed=11, config=FAST
-        )
-        assert fast.to_dict() == reference.to_dict()
+        assert fast.to_dict() == recorded_metrics[f"three-pair/{protocol}/seed11"]
 
     @pytest.mark.parametrize("rate_pps", [60.0, 250.0])
-    def test_bursty_traffic_is_bit_identical(self, rate_pps):
+    def test_bursty_traffic_is_bit_identical(self, rate_pps, recorded_metrics):
         config = SimulationConfig(
             duration_us=25_000.0, n_subcarriers=8, packet_rate_pps=rate_pps
         )
         fast = run_simulation(three_pair_scenario(), "n+", seed=5, config=config)
-        reference = _run_simulation_condensed_reference(
-            three_pair_scenario(), "n+", seed=5, config=config
-        )
-        assert fast.to_dict() == reference.to_dict()
+        recorded = recorded_metrics[f"three-pair/n+/seed5/rate{rate_pps:g}"]
+        assert fast.to_dict() == recorded
 
-    def test_idle_jumping_skips_empty_airtime(self):
+    def test_idle_jumping_skips_empty_airtime(self, recorded_metrics):
         """A very light load ends with the same elapsed window."""
         config = SimulationConfig(
             duration_us=30_000.0, n_subcarriers=8, packet_rate_pps=20.0
         )
         fast = run_simulation(three_pair_scenario(), "802.11n", seed=9, config=config)
-        reference = _run_simulation_condensed_reference(
-            three_pair_scenario(), "802.11n", seed=9, config=config
-        )
-        assert fast.elapsed_us == reference.elapsed_us
+        recorded = recorded_metrics["three-pair/802.11n/seed9/rate20"]
+        assert fast.elapsed_us == recorded["elapsed_us"]
+        assert fast.to_dict() == recorded
 
 
 class TestSweepDeterminism:
@@ -629,6 +624,28 @@ class TestSweepHardening:
         assert not recovered.failures
         assert recovered.cache_misses == 1
         assert recovered.results["n+"][0] is not None
+
+    @pytest.mark.parametrize(
+        "field", ["fidelity", "validation", "fault_profile", "channel_draws"]
+    )
+    def test_bad_config_knob_is_rejected_up_front(self, tmp_path, field):
+        """Like an unknown protocol: a ConfigurationError before the
+        manifest or any cell is planned, never a FailedCell per run."""
+        config = SimulationConfig(
+            duration_us=2_000.0, n_subcarriers=8, **{field: "bogus"}
+        )
+        with pytest.raises(ConfigurationError, match="bogus"):
+            run_sweep(
+                "three-pair",
+                ["n+"],
+                n_runs=1,
+                config=config,
+                cache_dir=tmp_path,
+                retry_backoff_s=0.0,
+            )
+        store = ResultsStore(tmp_path)
+        assert store.count() == 0
+        assert store.sweeps() == []
 
 
 class TestCacheCrashSafety:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.network import DRAW_CONTRACTS
 
 
 class TestParser:
@@ -47,6 +48,15 @@ class TestParser:
         assert args.protocols == "802.11n,n+"
         assert args.workers == 4
         assert args.cache_dir == "/tmp/cache"
+
+    @pytest.mark.parametrize("contract", DRAW_CONTRACTS)
+    def test_channel_draws_accepts_every_contract(self, contract):
+        args = build_parser().parse_args(["fig12", "--channel-draws", contract])
+        assert args.channel_draws == contract
+
+    def test_channel_draws_rejects_unknown_contract(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig12", "--channel-draws", "per-pair"])
 
 
 class TestMain:

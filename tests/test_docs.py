@@ -1,19 +1,22 @@
 """Docs staleness checks: the README and architecture docs must not rot.
 
-Three classes of guarantee:
+The guarantees:
 
 * every ``python`` fenced code block in the docs actually executes
   (small, self-contained snippets -- the quickstart must never break);
 * every shell command in ``bash`` fenced blocks refers to files that
   exist, and every ``python -m repro.cli ...`` invocation parses against
   the real argument parser (so renamed commands/flags fail here);
-* every repo path named in the layout table and inline backticks exists.
+* every repo path named in the layout table and inline backticks exists,
+  and every symbol, module and recorded-vector file the architecture
+  doc's fast-path pairing table names exists.
 
 ``make docs-check`` runs this module plus the example smoke tests.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -113,22 +116,86 @@ def test_layout_table_paths_exist():
         assert (REPO_ROOT / path).exists(), f"layout table references missing {path!r}"
 
 
+_PAIRING_HEADING = "## Fast path + reference implementation pairing"
+
+
+def _pairing_table_rows():
+    """``(named symbols, where modules)`` per row of the pairing table."""
+    text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    assert _PAIRING_HEADING in text, "the pairing table section is gone"
+    section = text.split(_PAIRING_HEADING, 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or cells[0] in ("Fast path", "---"):
+            continue
+        names = re.findall(r"`([^`]+)`", f"{cells[0]} {cells[1]}")
+        where = re.findall(r"`([^`]+)`", cells[2])
+        rows.append((names, where))
+    return rows
+
+
+def _row_members(modules):
+    """``(name, object)`` of every attribute of the row's modules and of
+    every class they hold."""
+    members = []
+    for module in modules:
+        for name, member in inspect.getmembers(module):
+            members.append((name, member))
+            if inspect.isclass(member):
+                members.extend(inspect.getmembers(member))
+    return members
+
+
+def _takes_keyword(obj, keyword):
+    try:
+        return keyword in inspect.signature(obj).parameters
+    except (TypeError, ValueError):
+        return False
+
+
+def _resolves(name, members):
+    """Whether a backticked table entry names something that exists:
+    ``tests/...`` entries are recorded-vector files, ``kw=value`` entries
+    need a callable taking ``kw``, anything else is a (dotted) name."""
+    if name.startswith("tests/"):
+        return (REPO_ROOT / name).is_file()
+    if "=" in name:
+        keyword = name.split("=", 1)[0]
+        return any(_takes_keyword(obj, keyword) for _, obj in members)
+    head, *rest = name.split(".")
+    for member_name, obj in members:
+        if member_name != head:
+            continue
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
 def test_architecture_named_symbols_exist():
-    """Functions/modules the architecture doc leans on must be importable."""
-    from repro.experiments.handshake_overhead import _alignment_subspaces_reference  # noqa: F401
-    from repro.phy.channel_est import _estimate_mimo_channel_reference  # noqa: F401
-    from repro.phy.coding.viterbi import _viterbi_decode_reference  # noqa: F401
+    """Every symbol, file and module the pairing table names must exist,
+    so a row naming a deleted reference implementation fails here."""
+    import importlib
+
+    rows = _pairing_table_rows()
+    assert len(rows) >= 10, "the pairing table looks truncated"
+    for names, where in rows:
+        assert where, f"pairing row {names} has no module"
+        members = _row_members(
+            importlib.import_module("repro." + path[: -len(".py")].replace("/", "."))
+            for path in where
+        )
+        for name in names:
+            assert _resolves(name, members), f"pairing table names missing {name!r}"
+
+    # Other names the architecture doc leans on.
     from repro.sim.engine import EventScheduler  # noqa: F401
-    from repro.sim.runner import (  # noqa: F401
-        _run_simulation_condensed_reference,
-        _slot_aligned_idle_end,
-        _slot_aligned_idle_end_reference,
-        placement_seed,
-        simulate_placement,
-    )
+    from repro.sim.runner import placement_seed, simulate_placement  # noqa: F401
     from repro.sim.sweep import SweepCache, run_sweep  # noqa: F401
     from repro.channel.testbed import dense_testbed  # noqa: F401
     from repro.sim.network import Network
-    from repro.sim.traffic import TrafficStateArrays  # noqa: F401
 
     assert hasattr(Network, "reseed_estimation_noise")
+
