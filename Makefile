@@ -47,7 +47,10 @@ bench-quick:
 bench-baseline:
 	$(PYTHON) benchmarks/run_all.py
 
-# The end-to-end benchmark's headline workload with its per-layer trace
-# (`python3 perfbench/run.py` runs every workload).
+# One end-to-end benchmark workload with its per-layer trace, the
+# headline one unless named (`make perfbench WORKLOAD=faulty-auto` shows
+# the fidelity-probe layer; `python3 perfbench/run.py` runs every workload).
+WORKLOAD ?= fig12-paper
+
 perfbench:
-	python3 perfbench/run.py --workload fig12-paper --seconds 10 --trace 1
+	python3 perfbench/run.py --workload $(WORKLOAD) --seconds 10 --trace 1

@@ -182,6 +182,7 @@ class BaseMacAgent:
         callbacks).  Once attached, every :meth:`refill` and
         :meth:`record_outcome` pushes the agent's new traffic state, which
         is what keeps the arrays incremental instead of rescanned.
+        ``None`` detaches the agent again.
         """
         self._traffic_listener = listener
 

@@ -7,12 +7,17 @@ spectral lines; the same self-synchronising generator
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["scramble", "descramble", "scrambler_sequence"]
 
 #: Default initial state of the 7-bit scrambler register (all ones).
 DEFAULT_SEED = 0x7F
+
+#: Period of the maximal-length sequence of the 7-bit register.
+_PERIOD = 127
 
 
 def scrambler_sequence(length: int, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -30,10 +35,22 @@ def scrambler_sequence(length: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _period(seed: int) -> np.ndarray:
+    """One read-only period of the sequence started from ``seed``."""
+    period = scrambler_sequence(_PERIOD, seed)
+    period.setflags(write=False)
+    return period
+
+
 def scramble(bits: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """XOR ``bits`` with the scrambling sequence."""
+    """XOR ``bits`` with the scrambling sequence.
+
+    Every non-zero seed starts a sequence of period 127, so the sequence
+    is one cached period tiled to the frame length.
+    """
     bits = np.asarray(bits, dtype=np.int8)
-    return (bits ^ scrambler_sequence(bits.size, seed)).astype(np.int8)
+    return (bits ^ np.resize(_period(seed & 0x7F), bits.size)).astype(np.int8)
 
 
 def descramble(bits: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:

@@ -542,23 +542,30 @@ class _EventDrivenLoop:
 
     def run(self) -> NetworkMetrics:
         """Run rounds until the observation window closes."""
-        self.scheduler.schedule_at(0.0, self._round)
-        while self.scheduler.step():
-            pass
-        if self.faults is not None:
-            self.faults.finalize()
-        for agent in self.agents.values():
-            link = self.metrics.link(agent.name)
-            link.packets_dropped = sum(
-                queue.dropped_packets for queue in agent.queues.values()
-            )
-            link.quarantined_rounds = agent.quarantined_rounds
-        self.metrics.elapsed_us = self.scheduler.now_us
-        if self.invariants is not None:
-            # One closing pass over the final accounting (the last round's
-            # check ran before packets_dropped/quarantined_rounds landed).
-            self.invariants.check_round(self)
-        return self.metrics
+        try:
+            self.scheduler.schedule_at(0.0, self._round)
+            while self.scheduler.step():
+                pass
+            if self.faults is not None:
+                self.faults.finalize()
+            for agent in self.agents.values():
+                link = self.metrics.link(agent.name)
+                link.packets_dropped = sum(
+                    queue.dropped_packets for queue in agent.queues.values()
+                )
+                link.quarantined_rounds = agent.quarantined_rounds
+            self.metrics.elapsed_us = self.scheduler.now_us
+            if self.invariants is not None:
+                # One closing pass over the final accounting (the last round's
+                # check ran before packets_dropped/quarantined_rounds landed).
+                self.invariants.check_round(self)
+            return self.metrics
+        finally:
+            # Each agent's listener points at the arrays, which list every
+            # agent.  Unless that cycle is broken however the run ends, it
+            # keeps the agents -- and through them the Network -- alive
+            # until the cyclic garbage collector happens to run.
+            self.arrays.detach()
 
     # -- per-round queries -------------------------------------------------------
 

@@ -214,6 +214,11 @@ class TrafficStateArrays:
     def __len__(self) -> int:
         return len(self.agents)
 
+    def detach(self) -> None:
+        """Stop every agent reporting here (breaks the agent <-> arrays cycle)."""
+        for agent in self.agents:
+            agent.attach_traffic_listener(None)
+
     # -- listener callbacks (invoked by the agents) -----------------------------
 
     def agent_refilled(

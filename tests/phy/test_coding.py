@@ -46,6 +46,28 @@ class TestScrambler:
     def test_different_seeds_differ(self):
         assert not np.array_equal(scrambler_sequence(50, 0x7F), scrambler_sequence(50, 0x29))
 
+    @pytest.mark.parametrize("seed", [0x7F, 0x01, 0x29, 0x5A, 0x40, 0x1A9])
+    def test_tiled_period_matches_sequence(self, seed):
+        # scramble() tiles one cached 127-bit period; scrambler_sequence()
+        # runs the register bit by bit.  Prefixes of one long run are the
+        # sequence of every shorter length.
+        reference = scrambler_sequence(1000, seed)
+        for n in range(1001):
+            tiled = scramble(np.zeros(n, dtype=np.int8), seed)
+            assert tiled.dtype == np.int8
+            assert np.array_equal(tiled, reference[:n])
+
+    def test_scramble_dtype_and_values(self, rng):
+        bits = random_bits(777, rng)
+        for given_bits in (bits, bits.astype(np.uint8), bits.tolist()):
+            scrambled = scramble(given_bits, 0x29)
+            assert scrambled.dtype == np.int8
+            assert np.array_equal(scrambled, bits.astype(np.int8) ^ scrambler_sequence(777, 0x29))
+
+    def test_scramble_rejects_zero_seed(self):
+        with pytest.raises(ValueError):
+            scramble(np.zeros(10, dtype=np.int8), seed=0)
+
 
 class TestConvolutionalEncoder:
     def test_rate_is_one_half(self, rng):
