@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke perfbench
+.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke perfbench perfbench-ab
 
 test:
 	$(PYTHON) -m pytest -q
@@ -54,3 +54,13 @@ WORKLOAD ?= fig12-paper
 
 perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seconds 10 --trace 1
+
+# Same-host A/B of one workload: REF (a git ref, checked out into a
+# temporary worktree) against this tree, PAIRS interleaved run pairs,
+# e.g. `make perfbench-ab REF=main WORKLOAD=dense-500-bursty`.
+REF ?= HEAD
+PAIRS ?= 10
+SEED ?= 1
+
+perfbench-ab:
+	python3 benchmarks/perfbench_ab.py $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Construction-memory benchmarks: tracemalloc peak bytes per pair.
 
-The ChannelBank stores one stacked tensor per antenna-shape group and
-serves every reciprocal direction as a transposed *view*, so network
-construction should allocate roughly one ``(n_sub, N, M)`` complex
-response per unordered pair -- not two (the pre-bank storage kept a
-``.copy()`` per reverse direction).  This module measures that with
-:mod:`tracemalloc`: the peak allocated bytes during one ``Network``
-construction, absolute and per pair, at the 100/200/500-station
-dense-LAN tiers.
+The ChannelBank stores what each antenna-shape group drew (tap
+normals, per-pair tap scales, SNRs) and computes a link's ``(n_sub, N,
+M)`` response only when it is first read, serving every reciprocal
+direction as a transposed *view*.  Network construction should therefore
+allocate the draws of each unordered pair once and no responses at all.
+This module measures that with :mod:`tracemalloc`: the peak allocated
+bytes during one ``Network`` construction, absolute and per pair, at the
+100/200/500-station dense-LAN tiers.
 
 Run standalone for a table::
 
@@ -45,8 +45,10 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
     The scenario and testbed are built *before* tracing starts, so the
     measurement covers exactly the ``Network`` construction (placements,
     channel draws, ChannelBank storage).  Returns a dict with
-    ``peak_bytes``, ``bytes_per_pair``, ``n_pairs``, ``bank_bytes`` and
-    the effective ``channel_draws``.
+    ``peak_bytes``, ``bytes_per_pair``, ``n_pairs``, ``bank_bytes`` (the
+    bank's :attr:`~repro.sim.network.ChannelBank.nbytes` right after
+    construction: every pair's draws, no responses yet) and the
+    effective ``channel_draws``.
     """
     import numpy as np
 

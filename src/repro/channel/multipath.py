@@ -9,7 +9,8 @@ and a time-domain ``apply`` for the sample-level experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -121,6 +122,10 @@ class MultipathChannel:
         ``2`` axis is (real, imaginary) -- exactly what
         ``rng.standard_normal`` consumes per tap.  When ``raw`` is given,
         ``rng`` is unused and may be ``None``.
+
+        The taps are :meth:`tap_scales` applied to the normals by
+        :meth:`taps_from_normals`; callers that keep the normals (the
+        network's channel bank) use those two steps directly.
         """
         if n_channels < 0:
             raise ConfigurationError(f"n_channels must be non-negative, got {n_channels}")
@@ -139,6 +144,19 @@ class MultipathChannel:
                 f"raw must have shape {(n_channels, n_taps, 2, n_rx, n_tx)}, "
                 f"got {raw.shape}"
             )
+        scales = cls.tap_scales(n_channels, n_taps, decay_samples, average_gain)
+        return cls.taps_from_normals(raw, scales)
+
+    @staticmethod
+    def tap_scales(
+        n_channels: int, n_taps: int, decay_samples=3.0, average_gain=1.0
+    ) -> np.ndarray:
+        """Per-tap amplitude scales ``sqrt(profile * gain / 2)`` of many channels.
+
+        The scales step of :meth:`random_batch`: returns a float array
+        of shape ``(n_channels, n_taps)``.  ``decay_samples`` and
+        ``average_gain`` may be scalars or per-channel arrays.
+        """
         decays = np.broadcast_to(np.asarray(decay_samples, dtype=float), (n_channels,))
         gains = np.broadcast_to(np.asarray(average_gain, dtype=float), (n_channels,))
         # The profile is a pure function of (n_taps, decay); computing it
@@ -148,8 +166,19 @@ class MultipathChannel:
         for value in np.unique(decays):
             profiles[decays == value] = exponential_power_delay_profile(n_taps, float(value))
         variance = profiles * gains[:, None]  # (n_channels, n_taps)
-        scale = np.sqrt(variance / 2.0)
-        return scale[:, :, None, None] * (raw[:, :, 0] + 1j * raw[:, :, 1])
+        return np.sqrt(variance / 2.0)
+
+    @staticmethod
+    def taps_from_normals(raw: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """Complex taps from standard normals and per-tap scales.
+
+        The apply step of :meth:`random_batch`: ``raw`` has shape
+        ``(..., n_taps, 2, n_rx, n_tx)`` (the ``2`` axis is real,
+        imaginary) and ``scales`` shape ``(..., n_taps)``; the result
+        has shape ``(..., n_taps, n_rx, n_tx)``.  Elementwise, so one
+        channel's slice of a stack gives the same bits as the stack.
+        """
+        return scales[..., None, None] * (raw[..., 0, :, :] + 1j * raw[..., 1, :, :])
 
     @classmethod
     def flat(cls, matrix: np.ndarray) -> "MultipathChannel":
@@ -250,21 +279,31 @@ def frequency_response_batch(taps: np.ndarray, fft_size: int = NUM_SUBCARRIERS) 
     return np.fft.fft(padded, axis=1)
 
 
+@lru_cache(maxsize=None)
+def _dft_twiddle(n_taps: int, bins: tuple, fft_size: int) -> np.ndarray:
+    """The read-only ``(n_taps, len(bins))`` DFT twiddle matrix, shared by
+    every evaluation at the same taps, bins and FFT size."""
+    twiddle = np.exp((-2j * np.pi / fft_size) * np.outer(np.arange(n_taps), bins))
+    twiddle.setflags(write=False)
+    return twiddle
+
+
 def frequency_response_at_bins_batch(
     taps: np.ndarray, bins: np.ndarray, fft_size: int = NUM_SUBCARRIERS
 ) -> np.ndarray:
     """Frequency responses of a stack of channels, at selected bins only.
 
     Evaluates the DFT of the zero-padded taps directly at the requested
-    ``bins`` -- one einsum against an ``(n_taps, n_bins)`` twiddle matrix
-    -- instead of a full ``fft_size``-point FFT followed by bin
-    selection.  For the testbed's few-tap channels this is cheaper, and
-    (more importantly at the 500-station tier) it never materialises the
-    ``(n_channels, fft_size, n_rx, n_tx)`` padded intermediate.  The
-    result equals ``frequency_response_batch(taps, fft_size)[:, bins]``
-    up to floating-point rounding; the grouped (v3) draw contract of
-    :meth:`repro.sim.network.Network._draw_channels_grouped` pins *this*
-    formulation.
+    ``bins`` -- one einsum against a cached ``(n_taps, n_bins)`` twiddle
+    matrix -- instead of a full ``fft_size``-point FFT followed by bin
+    selection.  For the testbed's few-tap channels this is cheaper and
+    never materialises the ``(n_channels, fft_size, n_rx, n_tx)`` padded
+    intermediate.  The result equals
+    ``frequency_response_batch(taps, fft_size)[:, bins]`` up to
+    floating-point rounding, and each channel's slice is bit-identical
+    whatever the stack size (one channel or many).  The grouped (v3)
+    draw contract of :class:`repro.sim.network.Network` evaluates its
+    responses with this function.
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)``; the result
     has shape ``(n_channels, len(bins), n_rx, n_tx)``.
@@ -277,6 +316,5 @@ def frequency_response_at_bins_batch(
     bins = np.asarray(bins, dtype=int)
     if bins.ndim != 1:
         raise DimensionError(f"bins must be 1-D, got shape {bins.shape}")
-    delays = np.arange(taps.shape[1])
-    twiddle = np.exp((-2j * np.pi / fft_size) * np.outer(delays, bins))
+    twiddle = _dft_twiddle(taps.shape[1], tuple(bins.tolist()), fft_size)
     return np.einsum("ctnm,tk->cknm", taps, twiddle)

@@ -9,7 +9,7 @@ computation uses:
 * the *true* channels of the run (the pre-coders, in contrast, were
   computed by the transmitters from *estimated* channels).  True
   channels come out of the :class:`repro.sim.network.ChannelBank` as
-  read-only (possibly transposed) views of shared per-group tensors, so
+  read-only (possibly transposed) views of shared memoised responses, so
   everything here treats them as immutable inputs -- slicing and
   einsum-ing views is fine, in-place writes would raise,
 * the pre-coding vectors and power of every stream on the air,

@@ -5,18 +5,21 @@ paper's methodology -- the assignment of nodes to testbed locations and
 the resulting channels -- so the MAC protocols under comparison see the
 exact same propagation environment.
 
-Channels are held in a :class:`ChannelBank`: one stacked read-only
-tensor per antenna-shape group plus an index from a directed ``(tx,
-rx)`` link to ``(group, slot, transposed)``.  The reciprocal direction
-of every pair is served as a transposed *view* of the same memory (no
-copies), which halves construction memory; the read-only flag guards the
-shared-view invariant.
+Channels are held in a :class:`ChannelBank`: per antenna-shape group,
+what was drawn (tap normals, per-pair tap scales, link SNRs) plus an
+index from a directed ``(tx, rx)`` link to ``(group, slot,
+transposed)``.  A link's frequency response is computed the first time
+something reads it and memoised read-only; a run reads few of a dense
+network's pairs, so the responses nobody reads are never built.  The
+reciprocal direction of every pair is served as a transposed *view* of
+the same memory (no copies); the read-only flag guards the shared-view
+invariant.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from repro.channel.multipath import (
     frequency_response_batch,
 )
 from repro.channel.testbed import Testbed, default_testbed
+from repro.constants import NUM_SUBCARRIERS
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.sim.node import Station, TrafficPair
 from repro.utils.db import db_to_linear
@@ -67,25 +71,48 @@ def _subcarrier_bins(n_subcarriers: int) -> np.ndarray:
     return bins
 
 
-class ChannelBank:
-    """Structure-of-arrays storage of every station pair's channel.
+def _fft_at_bins(taps: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """The v2 evaluator: the 64-point FFT of each channel, then the
+    tracked bins (slice ``c`` is bit-identical however many channels
+    are stacked)."""
+    return frequency_response_batch(taps, NUM_SUBCARRIERS)[:, bins]
 
-    Channels drawn per unordered pair ``(a, b)`` (``a < b`` in canonical
-    draw order) are stored as one stacked tensor per antenna-shape group
-    -- shape ``(n_pairs_in_group, n_sub, N, M)`` -- plus an index
-    mapping a *directed* ``(tx, rx)`` link to ``(group, slot,
-    transposed)``.  The reciprocal ``b -> a`` direction is served as a
-    read-only transposed **view** of the same memory instead of a
-    ``.copy()``, halving construction memory.  Every stored array is
-    marked non-writable: a consumer mutating a returned channel would
-    silently corrupt the reverse direction and every memoized plan built
-    from it, so mutation raises instead (the shared-view invariant;
-    ``.copy()`` first for a scratch buffer).
+
+class ChannelBank:
+    """Structure-of-arrays storage of every station pair's channel draws.
+
+    Channels are drawn per unordered pair ``(a, b)`` (``a < b`` in
+    canonical draw order) and stored per antenna-shape group as what was
+    *drawn*: the tap normals ``(n_pairs_in_group, n_taps, 2, N, M)``,
+    the per-pair tap scales ``(n_pairs_in_group, n_taps)`` and the
+    average link SNRs, plus an index mapping a *directed* ``(tx, rx)``
+    link to ``(group, slot, transposed)``.
+
+    A link's ``(n_sub, N, M)`` frequency response is computed the first
+    time anything reads it -- the slot's taps
+    (:meth:`~repro.channel.multipath.MultipathChannel.taps_from_normals`)
+    through the group's evaluator -- and memoised.  A run reads a small
+    share of the pairs of a dense network (about 1.4% at 500 stations),
+    so the bank never holds the responses nobody reads.  Each slot's
+    response is bit-identical to evaluating the whole group at once.
+
+    The reciprocal ``b -> a`` direction is served as a transposed
+    **view** of the same memory instead of a ``.copy()``.  Every stored
+    array is marked non-writable: a consumer mutating a returned channel
+    would silently corrupt the reverse direction and every memoized plan
+    built from it, so mutation raises instead (the shared-view
+    invariant; ``.copy()`` first for a scratch buffer).  Only the
+    in-place fault kernels (:meth:`scale_links`, :meth:`update_links`)
+    write, and they compute the slot's response before writing it.
     """
 
     def __init__(self) -> None:
-        self._stacks: List[np.ndarray] = []
+        self._raws: List[np.ndarray] = []
+        self._scales: List[np.ndarray] = []
         self._snrs: List[np.ndarray] = []
+        #: Per-group ``taps -> responses`` maps from an ``(k, n_taps, N,
+        #: M)`` tap stack to its ``(k, n_sub, N, M)`` responses.
+        self._evaluators: List[Callable[[np.ndarray], np.ndarray]] = []
         #: Per-group ``(n_pairs_in_group, 2)`` int64 arrays of unordered
         #: ``(a, b)`` station ids in slot order.  The directed-link index
         #: is derived lazily from these (see :meth:`_sorted_index`): one
@@ -100,34 +127,48 @@ class ChannelBank:
         #: Hot paths query the same few directed links every round, so
         #: each binary search is paid once per link per topology.
         self._memo: Dict[Tuple[int, int], Tuple[int, int, bool]] = {}
+        #: Materialised responses, ``(group, slot) -> (n_sub, N, M)``.
+        self._responses: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -- construction ---------------------------------------------------------
 
     def add_group(
         self,
-        pairs: Sequence[Tuple[int, int]],
-        responses: np.ndarray,
-        snrs_db: Sequence[float],
+        pairs,
+        raw: np.ndarray,
+        scales: np.ndarray,
+        snrs_db,
+        evaluate: Callable[[np.ndarray], np.ndarray],
     ) -> None:
         """Store one antenna-shape group of drawn channels.
 
-        ``pairs`` lists unordered ``(a, b)`` station ids in slot order;
-        ``responses`` is the stacked ``(len(pairs), n_sub, N, M)``
-        tensor whose slot ``i`` is the ``a -> b`` response of
-        ``pairs[i]``, and ``snrs_db`` the per-pair average link SNRs.
+        ``pairs`` is an ``(n, 2)`` array (or sequence) of unordered
+        ``(a, b)`` station ids in slot order; slot ``i`` holds the
+        ``a -> b`` channel of ``pairs[i]``.  ``raw`` holds its tap
+        normals, shape ``(n, n_taps, 2, N, M)``; ``scales`` the per-tap
+        amplitude scales, shape ``(n, n_taps)``
+        (:meth:`~repro.channel.multipath.MultipathChannel.tap_scales`);
+        ``snrs_db`` the per-pair average link SNRs; and ``evaluate``
+        turns a ``(k, n_taps, N, M)`` tap stack into its ``(k, n_sub,
+        N, M)`` responses.
         """
-        responses = np.asarray(responses)
+        pair_array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = len(pair_array)
+        raw = np.asarray(raw, dtype=float)
+        scales = np.asarray(scales, dtype=float)
         snrs = np.asarray(snrs_db, dtype=float)
-        if responses.ndim != 4 or responses.shape[0] != len(pairs):
+        if raw.ndim != 5 or raw.shape[0] != n or raw.shape[2] != 2:
             raise DimensionError(
-                f"responses must have shape ({len(pairs)}, n_sub, N, M), "
-                f"got {responses.shape}"
+                f"raw must have shape ({n}, n_taps, 2, N, M), got {raw.shape}"
             )
-        if snrs.shape != (len(pairs),):
+        if scales.shape != raw.shape[:2]:
+            raise DimensionError(
+                f"scales must have shape {raw.shape[:2]}, got {scales.shape}"
+            )
+        if snrs.shape != (n,):
             raise DimensionError(
                 f"snrs_db must have one entry per pair, got shape {snrs.shape}"
             )
-        pair_array = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
         if pair_array.size and (
             pair_array.min() < 0 or pair_array.max() >= _PAIR_KEY_BASE
         ):
@@ -135,11 +176,12 @@ class ChannelBank:
                 "station ids must be non-negative and fit in 31 bits to be "
                 "packed into the pair-index keys"
             )
-        responses.setflags(write=False)
-        snrs.setflags(write=False)
-        pair_array.setflags(write=False)
-        self._stacks.append(responses)
+        for array in (raw, scales, snrs, pair_array):
+            array.setflags(write=False)
+        self._raws.append(raw)
+        self._scales.append(scales)
         self._snrs.append(snrs)
+        self._evaluators.append(evaluate)
         self._pair_groups.append(pair_array)
         # Invalidate the lazily built sorted index and resolved lookups.
         self._sorted_keys = None
@@ -211,10 +253,23 @@ class ChannelBank:
             self._memo[link] = entry
         return entry
 
+    def _response(self, group: int, slot: int) -> np.ndarray:
+        """The stored-direction response of a slot, computed on first read."""
+        key = (group, slot)
+        response = self._responses.get(key)
+        if response is None:
+            taps = MultipathChannel.taps_from_normals(
+                self._raws[group][slot], self._scales[group][slot]
+            )
+            response = self._evaluators[group](taps[None])[0]
+            response.setflags(write=False)
+            self._responses[key] = response
+        return response
+
     def channel(self, tx_id: int, rx_id: int) -> np.ndarray:
         """The read-only ``(n_sub, N, M)`` response of a directed link."""
         group, slot, transposed = self.lookup(tx_id, rx_id)
-        response = self._stacks[group][slot]
+        response = self._response(group, slot)
         return response.transpose(0, 2, 1) if transposed else response
 
     def snr_db(self, tx_id: int, rx_id: int) -> float:
@@ -232,16 +287,11 @@ class ChannelBank:
         )
 
     # -- in-place update kernels -----------------------------------------------
-
-    def _writable_group(self, group: int):
-        """Context values for an in-place write to one group's arrays.
-
-        The stacks stay read-only to consumers at all times -- views
-        handed out by :meth:`channel` keep the non-writable flag they
-        were created with -- so only these kernels, which re-freeze in a
-        ``finally``, ever write.
-        """
-        return self._stacks[group], self._snrs[group]
+    #
+    # Each kernel computes a slot's response before writing it, so a fade
+    # or restore on a never-read link is bit-identical to the same
+    # sequence after a read.  Views handed out by :meth:`channel` keep the
+    # non-writable flag they were created with and see the new values.
 
     def scale_links(
         self,
@@ -249,75 +299,80 @@ class ChannelBank:
         amplitude_scale: float,
         snr_delta_db: float = 0.0,
     ) -> None:
-        """Scale the stored tensors of ``links`` in place, O(affected slots).
+        """Scale the stored responses of ``links`` in place, O(affected slots).
 
-        The canonical stored tensor is scaled once per link, which fades
-        both directions at once (the reciprocal is a transposed view of
-        the same memory).  Affected slots are grouped per antenna-shape
-        group and written with one fancy-indexed multiply each -- no
-        group is rebuilt.  ``snr_delta_db`` adjusts the stored link SNRs
-        by the same episode (a fade of depth ``d`` dB passes
-        ``amplitude_scale=10**(-d/20)``, ``snr_delta_db=-d``).
+        The canonical stored response is scaled once per pair (a link
+        listed twice is scaled once), which fades both directions at
+        once (the reciprocal is a transposed view of the same memory).
+        ``snr_delta_db`` adjusts the stored link SNRs by the same episode
+        (a fade of depth ``d`` dB passes ``amplitude_scale=10**(-d/20)``,
+        ``snr_delta_db=-d``).
         """
         by_group: Dict[int, List[int]] = {}
-        for tx_id, rx_id in links:
-            group, slot, _ = self.lookup(tx_id, rx_id)
+        for group, slot in dict.fromkeys(self.lookup(*link)[:2] for link in links):
+            response = self._response(group, slot)
+            response.setflags(write=True)
+            try:
+                response *= amplitude_scale
+            finally:
+                response.setflags(write=False)
             by_group.setdefault(group, []).append(slot)
         for group, slots in by_group.items():
-            stack, snrs = self._writable_group(group)
-            stack.setflags(write=True)
+            snrs = self._snrs[group]
             snrs.setflags(write=True)
             try:
-                stack[slots] *= amplitude_scale
                 snrs[slots] += snr_delta_db
             finally:
-                stack.setflags(write=False)
                 snrs.setflags(write=False)
 
     def update_links(
         self, updates: Sequence[Tuple[int, int, np.ndarray, float]]
     ) -> None:
-        """Replace the stored tensor and SNR of each link, in place.
+        """Replace the stored response and SNR of each link, in place.
 
         ``updates`` holds ``(tx_id, rx_id, response, snr_db)`` with the
-        response in ``(tx, rx)`` orientation and the slot's stored shape
+        response in ``(tx, rx)`` orientation and the slot's shape
         (transposed automatically when the canonical stored direction is
-        the reciprocal).  Writes are batched per group into one stacked
-        fancy-index assignment -- O(affected slots), never a rebuild --
-        which is what makes restoring (or re-drawing) a faded link cheap
-        even in the 500-station tiers.
+        the reciprocal).  Every shape is checked before anything is
+        written.  O(affected slots), never a rebuild -- which is what
+        makes restoring (or re-drawing) a faded link cheap even in the
+        500-station tiers.
         """
-        grouped: Dict[int, Tuple[List[int], List[np.ndarray], List[float]]] = {}
+        writes = []
+        by_group: Dict[int, Tuple[List[int], List[float]]] = {}
         for tx_id, rx_id, response, snr_db in updates:
             group, slot, transposed = self.lookup(tx_id, rx_id)
             data = np.asarray(response)
             if transposed:
                 data = data.transpose(0, 2, 1)
-            stack = self._stacks[group]
-            if data.shape != stack.shape[1:]:
+            stored = self._response(group, slot)
+            if data.shape != stored.shape:
                 raise DimensionError(
                     f"link ({tx_id}, {rx_id}) update has shape {data.shape}, "
-                    f"stored slots have shape {stack.shape[1:]}"
+                    f"stored slots have shape {stored.shape}"
                 )
-            slots, tensors, snr_values = grouped.setdefault(group, ([], [], []))
+            writes.append((stored, data))
+            slots, snr_values = by_group.setdefault(group, ([], []))
             slots.append(slot)
-            tensors.append(data)
             snr_values.append(float(snr_db))
-        for group, (slots, tensors, snr_values) in grouped.items():
-            stack, snrs = self._writable_group(group)
-            stack.setflags(write=True)
+        for stored, data in writes:
+            stored.setflags(write=True)
+            try:
+                stored[...] = data
+            finally:
+                stored.setflags(write=False)
+        for group, (slots, snr_values) in by_group.items():
+            snrs = self._snrs[group]
             snrs.setflags(write=True)
             try:
-                stack[slots] = np.stack(tensors)
                 snrs[slots] = snr_values
             finally:
-                stack.setflags(write=False)
                 snrs.setflags(write=False)
 
     def snapshot_links(
         self, links: Sequence[Tuple[int, int]]
     ) -> List[Tuple[np.ndarray, float]]:
-        """Copies of ``links``' current tensors (in ``(tx, rx)``
+        """Copies of ``links``' current responses (in ``(tx, rx)``
         orientation) and SNRs, suitable for a bit-exact
         :meth:`update_links` restore later."""
         return [
@@ -339,14 +394,24 @@ class ChannelBank:
     @property
     def n_groups(self) -> int:
         """Number of antenna-shape groups."""
-        return len(self._stacks)
+        return len(self._pair_groups)
+
+    @property
+    def n_materialised(self) -> int:
+        """Number of pairs whose response has been computed."""
+        return len(self._responses)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the stacked tensors (reciprocals are free views)."""
-        return sum(stack.nbytes for stack in self._stacks) + sum(
-            snrs.nbytes for snrs in self._snrs
+        """Bytes held for the channels: every pair's draws (tap normals,
+        tap scales, SNR) once, plus each materialised response once
+        (reciprocals are free views)."""
+        drawn = sum(
+            array.nbytes
+            for arrays in (self._raws, self._scales, self._snrs)
+            for array in arrays
         )
+        return drawn + sum(response.nbytes for response in self._responses.values())
 
 
 class Network:
@@ -363,9 +428,11 @@ class Network:
     testbed:
         The synthetic deployment; defaults to :func:`default_testbed`.
     n_subcarriers:
-        Number of (evenly spaced) OFDM subcarriers tracked by the link
-        abstraction.  16 keeps runs fast while retaining frequency
-        selectivity; use 64 for full fidelity.
+        Number of (evenly spaced) OFDM data subcarriers tracked by the
+        link abstraction.  16 keeps runs fast while retaining frequency
+        selectivity; 48 tracks every data subcarrier.  Larger values
+        track the same 48 bins, and :attr:`n_subcarriers` holds the
+        tracked count.
     forced_link_snrs_db:
         Optional map ``(tx_id, rx_id) -> SNR`` overriding the geometric
         link budget for controlled experiments.
@@ -411,7 +478,7 @@ class Network:
         self.pairs = list(pairs)
         self.rng = rng
         self.testbed = testbed or default_testbed()
-        self.n_subcarriers = n_subcarriers
+        self.n_subcarriers = int(_subcarrier_bins(n_subcarriers).size)
         self.noise_power = 1.0
         self.hardware: HardwareProfile = self.testbed.hardware
         self.channel_draws = channel_draws
@@ -505,9 +572,12 @@ class Network:
            draws all of that group's tap normals -- groups ordered by
            ``(n_tx, n_rx)``, pairs inside a group in canonical order.
 
-        Frequency responses are evaluated directly at the tracked bins
-        (:func:`~repro.channel.multipath.frequency_response_at_bins_batch`),
-        skipping the padded 64-point FFT.  Because draws depend only on
+        The per-pair tap scales are computed once for every pair; each
+        group's normals, scales, SNRs and ``(n, 2)`` pair-id array go to
+        :meth:`ChannelBank.add_group`, which evaluates a link's response
+        at the tracked bins only when it is first read
+        (:func:`~repro.channel.multipath.frequency_response_at_bins_batch`,
+        no padded 64-point FFT).  Because draws depend only on
         the *sorted* station ids, the result is independent of station-
         and pair-list order (asserted by the test suite).  The draw
         order deliberately differs from the v2 contract -- it removes
@@ -533,26 +603,19 @@ class Network:
         snrs, decays = testbed.draw_link_scalars_batch(
             losses, self.rng, forced_snr_db=self._forced_snr_rows(ids)
         )
+        scales = MultipathChannel.tap_scales(
+            ai.size, n_taps, decay_samples=decays, average_gain=db_to_linear(snrs)
+        )
+        id_arr = np.array(ids, dtype=np.int64)
+        pairs = np.stack([id_arr[ai], id_arr[bi]], axis=1)
+        evaluate = partial(frequency_response_at_bins_batch, bins=bins)
 
-        id_arr = np.array(ids)
         shape_key = n_tx * (int(antennas.max()) + 1) + n_rx
         for key in np.unique(shape_key):  # sorted == (n_tx, n_rx) lexicographic
             rows = np.flatnonzero(shape_key == key)  # ascending == canonical order
             m, r = int(n_tx[rows[0]]), int(n_rx[rows[0]])
             raw = self.rng.standard_normal((rows.size, n_taps, 2, r, m))
-            taps = MultipathChannel.random_batch(
-                r,
-                m,
-                rng=None,
-                n_channels=rows.size,
-                n_taps=n_taps,
-                decay_samples=decays[rows],
-                average_gain=db_to_linear(snrs[rows]),
-                raw=raw,
-            )
-            responses = frequency_response_at_bins_batch(taps, bins)
-            pairs = list(zip(id_arr[ai[rows]].tolist(), id_arr[bi[rows]].tolist()))
-            self.channels.add_group(pairs, responses, snrs[rows])
+            self.channels.add_group(pairs[rows], raw, scales[rows], snrs[rows], evaluate)
 
     def _draw_channels(self) -> None:
         """Draw every pair's channel with batched per-group math (v2).
@@ -561,11 +624,11 @@ class Network:
         shadowing, the line-of-sight coin, then the tap normals in one
         call -- the order of the per-pair loop this replaced, so the
         result is bit-identical to it
-        (``tests/data/per_pair_draw_vectors.json``).  Everything
-        downstream of the draws (path loss, tap scaling, the 64-point
-        FFT, the subcarrier selection) runs once per antenna-shape group
-        instead of once per pair, which is what makes 100-200 station
-        construction cheap.
+        (``tests/data/per_pair_draw_vectors.json``).  Path loss and tap
+        scaling run once per antenna-shape group instead of once per
+        pair, which is what makes 100-200 station construction cheap;
+        the bank evaluates a link's response -- the 64-point FFT, then
+        the tracked bins -- when it is first read.
         """
         if not self.stations:
             return
@@ -603,22 +666,20 @@ class Network:
             group["decays"].append(decay)
             group["raws"].append(raw)
 
-        # Pass 2: per antenna-shape group, scale all taps and compute all
-        # frequency responses in one stacked FFT + fancy-index pass.
-        for (n_tx, n_rx), group in groups.items():
+        # Pass 2: per antenna-shape group, the tap scales in one stacked
+        # pass; responses are the 64-point FFT at the tracked bins.
+        evaluate = partial(_fft_at_bins, bins=bins)
+        for group in groups.values():
             snrs = np.asarray(group["snrs"], dtype=float)
-            taps = MultipathChannel.random_batch(
-                n_rx,
-                n_tx,
-                rng=None,
-                n_channels=len(group["pairs"]),
-                n_taps=n_taps,
+            scales = MultipathChannel.tap_scales(
+                len(group["pairs"]),
+                n_taps,
                 decay_samples=np.asarray(group["decays"]),
                 average_gain=db_to_linear(snrs),
-                raw=np.stack(group["raws"]),
             )
-            responses = frequency_response_batch(taps, 64)[:, bins]  # (C, n_sub, N, M)
-            self.channels.add_group(group["pairs"], responses, snrs)
+            self.channels.add_group(
+                group["pairs"], np.stack(group["raws"]), scales, snrs, evaluate
+            )
 
     # -- lookups ---------------------------------------------------------------------
 

@@ -14,7 +14,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.channel.multipath import MultipathChannel, frequency_response_batch
+from repro.channel.multipath import (
+    MultipathChannel,
+    _dft_twiddle,
+    frequency_response_at_bins_batch,
+    frequency_response_batch,
+)
 from repro.channel.testbed import default_testbed, dense_testbed
 from repro.exceptions import ConfigurationError
 from repro.sim.network import Network, _subcarrier_bins
@@ -156,6 +161,44 @@ class TestMultipathBatchPrimitives:
         for index in range(5):
             expected = MultipathChannel(taps=taps[index]).frequency_response(64)
             assert np.array_equal(responses[index], expected)
+
+    @pytest.mark.parametrize("n_sub", [8, 16, 48])
+    def test_one_channel_evaluates_like_its_stack(self, n_sub):
+        """The bank evaluates one slot at a time; every evaluator gives
+        a slot the bits it gets inside the whole group's stack, for all
+        nine antenna shapes."""
+        rng = np.random.default_rng(n_sub)
+        bins = _subcarrier_bins(n_sub)
+        for n_rx in (1, 2, 3):
+            for n_tx in (1, 2, 3):
+                raw = rng.standard_normal((40, 3, 2, n_rx, n_tx))
+                scales = MultipathChannel.tap_scales(
+                    40, 3, decay_samples=rng.choice([0.6, 1.5], 40),
+                    average_gain=rng.uniform(1.0, 1e3, 40),
+                )
+                taps = MultipathChannel.taps_from_normals(raw, scales)
+                at_bins = frequency_response_at_bins_batch(taps, bins)
+                by_fft = frequency_response_batch(taps, 64)[:, bins]
+                for slot in range(40):
+                    one = MultipathChannel.taps_from_normals(raw[slot], scales[slot])
+                    assert np.array_equal(one, taps[slot])
+                    assert np.array_equal(
+                        frequency_response_at_bins_batch(one[None], bins)[0], at_bins[slot]
+                    )
+                    assert np.array_equal(
+                        frequency_response_batch(one[None], 64)[0, bins], by_fft[slot]
+                    )
+
+    def test_twiddle_is_cached_and_read_only(self):
+        bins = _subcarrier_bins(16)
+        taps = np.ones((2, 3, 1, 1), dtype=complex)
+        first = frequency_response_at_bins_batch(taps, bins)
+        second = frequency_response_at_bins_batch(taps, np.array(bins))
+        assert np.array_equal(first, second)
+        twiddle = _dft_twiddle(3, tuple(bins.tolist()), 64)
+        assert twiddle is _dft_twiddle(3, tuple(bins.tolist()), 64)
+        assert not twiddle.flags.writeable
+        assert np.allclose(first[0, :, 0, 0], twiddle.sum(axis=0))
 
     def test_random_batch_validates_taps_and_raw(self):
         rng = np.random.default_rng(0)

@@ -104,6 +104,23 @@ class TestRunSimulation:
             assert metrics.total_throughput_mbps() > 0.5
 
 
+    @pytest.mark.parametrize("protocol", ["802.11n", "n+"])
+    def test_more_subcarriers_than_data_bins_track_all_48(self, protocol):
+        """n_subcarriers above 48 tracks the same 48 data bins as 48 does
+        (it used to crash every run with a broadcast error)."""
+        scenario = three_pair_scenario()
+        network = Network(scenario.stations, scenario.pairs, np.random.default_rng(0),
+                          n_subcarriers=64)
+        assert network.n_subcarriers == 48
+        assert network.true_channel(0, 1).shape[0] == 48
+        runs = [
+            run_simulation(scenario, protocol, seed=9,
+                           config=SimulationConfig(duration_us=5_000.0, n_subcarriers=n))
+            for n in (48, 64)
+        ]
+        assert runs[0].total_throughput_mbps() > 0
+        assert runs[1].to_dict() == runs[0].to_dict()
+
 class TestRunMany:
     def test_structure_of_results(self):
         results = run_many(
