@@ -56,11 +56,13 @@ perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seconds 10 --trace 1
 
 # Same-host A/B of one workload: REF (a git ref, checked out into a
-# temporary worktree) against this tree, PAIRS interleaved run pairs,
-# e.g. `make perfbench-ab REF=main WORKLOAD=dense-500-bursty`.
+# temporary worktree) against this tree, PAIRS interleaved run pairs of
+# SECONDS each, e.g. `make perfbench-ab REF=main WORKLOAD=dense-500-bursty`
+# or `make perfbench-ab WORKLOAD=sweep-replay SECONDS=10`.
 REF ?= HEAD
 PAIRS ?= 10
 SEED ?= 1
+SECONDS ?= 20
 
 perfbench-ab:
-	python3 benchmarks/perfbench_ab.py $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
+	python3 benchmarks/perfbench_ab.py $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --seconds $(SECONDS)

@@ -138,8 +138,9 @@ def effective_snr_db(
 ) -> float:
     """Effective SNR of a set of per-subcarrier SNRs.
 
-    If ``modulation`` is omitted the QPSK BER curve is used, which is the
-    conventional reference curve for a modulation-agnostic ESNR.
+    The mean-mutual-information mapping of :func:`esnr_for_modulation`,
+    which never reads ``modulation``: the result is the same for every
+    modulation, and QPSK merely fills the argument when it is omitted.
     """
     modulation = modulation or get_modulation("qpsk")
     return esnr_for_modulation(subcarrier_snrs_db, modulation)

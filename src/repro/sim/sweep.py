@@ -67,6 +67,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import signal
 import threading
@@ -113,6 +114,7 @@ __all__ = [
     "ResultsStore",
     "run_sweep",
     "cell_key",
+    "CellKeyer",
     "config_digest",
     "scenario_digest",
     "sweep_manifest_digest",
@@ -284,20 +286,53 @@ def cell_key(
     parameter lands in the key as part of the ``name[param=value,...]``
     coordinate.  The module-global :data:`CACHE_SCHEMA_VERSION` is part
     of the payload, so cells written under an older schema are missed,
-    never replayed.
+    never replayed.  The payload is hashed by :class:`CellKeyer`, which
+    a sweep builds once and calls per cell.
     """
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "scenario": scenario_key,
-            "scenario_fingerprint": scenario_fingerprint,
-            "protocol": resolve_protocol(protocol).key,
-            "run_seed": run_seed,
-            "config": dataclasses.asdict(config),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return CellKeyer(scenario_key, config, scenario_fingerprint)(protocol, run_seed)
+
+
+class CellKeyer:
+    """The :func:`cell_key` of every cell of one sweep.
+
+    A key is the SHA-256 of ``json.dumps(payload, sort_keys=True)`` over
+    ``config``, ``protocol``, ``run_seed``, ``scenario``,
+    ``scenario_fingerprint`` and ``schema`` -- in that (sorted) order.
+    Everything but the protocol and the run seed is fixed for a sweep,
+    so the leading ``{"config": ..., "protocol": `` text is serialised
+    and hashed once, each protocol's continuation once more, and a cell
+    only hashes its seed and the constant tail.  The bytes hashed are
+    exactly those of a one-shot ``json.dumps`` of the payload, so the
+    keys of existing stores keep hitting.
+    """
+
+    def __init__(
+        self,
+        scenario_key: str,
+        config: SimulationConfig,
+        scenario_fingerprint: Optional[str] = None,
+    ) -> None:
+        config_json = json.dumps(dataclasses.asdict(config), sort_keys=True)
+        self._head = hashlib.sha256(f'{{"config": {config_json}, "protocol": '.encode())
+        self._tail = (
+            f', "scenario": {json.dumps(scenario_key)}, '
+            f'"scenario_fingerprint": {json.dumps(scenario_fingerprint)}, '
+            f'"schema": {json.dumps(CACHE_SCHEMA_VERSION)}}}'
+        ).encode()
+        # spec key -> hash state through the protocol and the seed's label
+        self._by_protocol = {}
+
+    def __call__(self, protocol: ProtocolLike, run_seed: int) -> str:
+        spec_key = resolve_protocol(protocol).key
+        prefix = self._by_protocol.get(spec_key)
+        if prefix is None:
+            prefix = self._head.copy()
+            prefix.update(f'{json.dumps(spec_key)}, "run_seed": '.encode())
+            self._by_protocol[spec_key] = prefix
+        digest = prefix.copy()
+        digest.update(json.dumps(run_seed).encode())
+        digest.update(self._tail)
+        return digest.hexdigest()
 
 
 def sweep_manifest_digest(manifest: dict) -> str:
@@ -633,7 +668,9 @@ def run_sweep(
         Number of random placements.
     seed:
         Base seed; run ``r`` uses placement seed ``seed + 1000 * r`` (see
-        :func:`repro.sim.runner.placement_seed`).
+        :func:`repro.sim.runner.placement_seed`).  Any integer type
+        (NumPy integers included) is accepted; anything else raises
+        :class:`~repro.exceptions.ConfigurationError`.
     config:
         Simulation parameters; part of every cell's cache key.
     workers:
@@ -728,6 +765,12 @@ def run_sweep(
         Metrics grid plus cache-hit, failed-cell and worker-death
         accounting.
     """
+    # A NumPy integer seed is an integer too, but not to json.dumps (cell
+    # keys, the manifest): normalise it before anything is keyed or opened.
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}") from None
     config = config or SimulationConfig()
     factory, key = _resolve_scenario(scenario, scenario_key)
     # Fail fast: resolve every protocol entry up front, so an unknown
@@ -777,27 +820,34 @@ def run_sweep(
             "(cache_backend='sqlite'); the store holds the checkpoint to resume"
         )
 
-    # Each cell's key is needed more than once (grid registration, hit
-    # scan, result recording) and hashing the config dataclass dominates
-    # a warm replay, so keys are memoised for the duration of this call
-    # (the config cannot change under us) and the constant config digest
-    # is computed once.
-    _keys: Dict[Tuple[str, int], str] = {}
+    # -- plan: every cell and its key, computed once ------------------------
+    # Against a cache each cell's key is read several times (grid
+    # registration, the hit scan, running/done/failed bookkeeping), so
+    # the sweep keys its cells once, in one pass: a single CellKeyer
+    # carries the serialised config and scenario, and each cell hashes
+    # only its protocol and run seed on top.  Cells are listed run-major
+    # in sweep order; without a cache nothing is keyed or looked up.
+    plan: List[Tuple[int, int, ProtocolSpec, str]] = []
+    params: Dict[str, dict] = {}
+    config_fingerprint = None
+    if cache is not None:
+        keyer = CellKeyer(key, config, fingerprint)
+        for run in range(n_runs):
+            run_seed = placement_seed(seed, run)
+            plan.extend((run, run_seed, spec, keyer(spec, run_seed)) for spec in specs)
+        params = {spec.key: spec.resolved_params() for spec in specs}
+        config_fingerprint = config_digest(config)
+    position = {spec.key: index for index, spec in enumerate(specs)}
 
-    def _cell_key(spec: ProtocolSpec, run_seed: int) -> str:
-        coord = (spec.key, run_seed)
-        if coord not in _keys:
-            _keys[coord] = cell_key(key, spec, run_seed, config, fingerprint)
-        return _keys[coord]
-
-    config_fingerprint = config_digest(config) if cache is not None else None
+    def _planned_key(run: int, spec: ProtocolSpec) -> str:
+        return plan[run * len(specs) + position[spec.key]][3]
 
     def _describe(spec: ProtocolSpec, run: int, run_seed: int) -> dict:
         return {
             "scenario": key,
             "scenario_fingerprint": fingerprint,
             "protocol": spec.key,
-            "protocol_params": spec.resolved_params(),
+            "protocol_params": dict(params[spec.key]),
             "run": run,
             "run_seed": run_seed,
             "config_digest": config_fingerprint,
@@ -830,12 +880,8 @@ def run_sweep(
             sweep_id,
             manifest,
             cells=[
-                (
-                    _cell_key(spec, placement_seed(seed, run)),
-                    _describe(spec, run, placement_seed(seed, run)),
-                )
-                for run in range(n_runs)
-                for spec in specs
+                (cell, _describe(spec, run, run_seed))
+                for run, run_seed, spec, cell in plan
             ],
         )
 
@@ -847,35 +893,25 @@ def run_sweep(
     # their sweep order inside each task so results are reproducible.
     # Against the store the whole grid is prefetched in one batched
     # SELECT rather than a query per cell.
-    preloaded: Dict[str, NetworkMetrics] = {}
-    if store is not None:
-        preloaded = store.load_many(
-            [
-                _cell_key(spec, placement_seed(seed, run))
-                for run in range(n_runs)
-                for spec in specs
-            ]
-        )
     pending: List[Tuple[int, int, List[ProtocolSpec]]] = []  # (run, run_seed, specs)
-    misses = 0
     hits = 0
-    for run in range(n_runs):
-        run_seed = placement_seed(seed, run)
-        missing: List[ProtocolSpec] = []
-        for spec in specs:
-            if cache is not None:
-                if store is not None:
-                    cached = preloaded.get(_cell_key(spec, run_seed))
-                else:
-                    cached = cache.load(_cell_key(spec, run_seed))
-                if cached is not None:
-                    grid[spec.key][run] = cached
-                    hits += 1
-                    continue
-            missing.append(spec)
-        if missing:
-            pending.append((run, run_seed, missing))
-            misses += len(missing)
+    if cache is None:
+        pending = [(run, placement_seed(seed, run), list(specs)) for run in range(n_runs)]
+    else:
+        if store is not None:
+            stored = store.load_many([cell for *_, cell in plan])
+        else:
+            stored = {cell: cache.load(cell) for *_, cell in plan}
+        for run, run_seed, spec, cell in plan:
+            metrics = stored.get(cell)
+            if metrics is not None:
+                grid[spec.key][run] = metrics
+                hits += 1
+                continue
+            if not pending or pending[-1][0] != run:
+                pending.append((run, run_seed, []))
+            pending[-1][2].append(spec)
+    misses = n_runs * len(specs) - hits
 
     def _record(
         run: int, run_seed: int, spec: ProtocolSpec, metrics: NetworkMetrics
@@ -885,7 +921,7 @@ def run_sweep(
             # Stored as soon as each task completes, so an interrupted or
             # partially failed sweep keeps every finished cell.
             cache.store(
-                _cell_key(spec, run_seed), metrics, describe=_describe(spec, run, run_seed)
+                _planned_key(run, spec), metrics, describe=_describe(spec, run, run_seed)
             )
 
     failures: List[FailedCell] = []
@@ -929,7 +965,7 @@ def run_sweep(
             )
             if store is not None:
                 store.mark_failed(
-                    _cell_key(spec, run_seed), error, _describe(spec, run, run_seed),
+                    _planned_key(run, spec), error, _describe(spec, run, run_seed),
                     capsule_path=capsule_path, traceback=traceback_text,
                 )
 
@@ -1004,7 +1040,7 @@ def run_sweep(
                             run, run_seed, missing = tasks[event.task_id]
                             if store is not None:
                                 store.mark_running(
-                                    [_cell_key(spec, run_seed) for spec in missing]
+                                    [_planned_key(run, spec) for spec in missing]
                                 )
                         elif isinstance(event, TaskDone):
                             run, run_seed, missing = tasks[event.task_id]
@@ -1033,7 +1069,7 @@ def run_sweep(
                     error_ring: Optional[List[dict]] = None
                     if store is not None:
                         store.mark_running(
-                            [_cell_key(spec, run_seed) for spec in missing]
+                            [_planned_key(run, spec) for spec in missing]
                         )
                     for attempt in range(max_retries + 1):
                         try:
