@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke perfbench perfbench-ab
+.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke perfbench perfbench-ab perfbench-digests
 
 test:
 	$(PYTHON) -m pytest -q
@@ -66,3 +66,16 @@ SECONDS ?= 20
 
 perfbench-ab:
 	python3 benchmarks/perfbench_ab.py $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --seconds $(SECONDS)
+
+# The seed-1 result digest of every workload (each one's fixed op window,
+# untimed and untraced): a faithful optimisation leaves all four lines
+# unchanged.  Fails when a workload's run fails or reports a failed check.
+PERFBENCH_WORKLOADS = fig12-paper dense-500-bursty faulty-auto sweep-replay
+
+perfbench-digests:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$(python3 perfbench/run.py --workload $$w --seconds 0 --trace 0 --seed 1); \
+		status=$$?; \
+		printf '%s %s\n' $$w "$$(printf '%s\n' "$$out" | grep '^result_digest:')"; \
+		[ $$status -eq 0 ] || exit $$status; \
+	done

@@ -10,7 +10,7 @@ joins ongoing transmissions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,20 +24,33 @@ from repro.constants import (
 )
 from repro.exceptions import MediumAccessError
 from repro.mac.aggregation import airtime_for_bits
-from repro.mac.bitrate import choose_bitrate
 from repro.mac.csma import DcfContender
 from repro.mac.plan import PlanCache, involved_node_ids, stream_signature
 from repro.mac.retransmission import RetransmissionQueue
-from repro.phy.rates import MCS
+from repro.phy.esnr import esnr_for_modulation, mcs_for_esnr
+from repro.phy.rates import MCS, MCS_TABLE
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.node import Station, TrafficPair
 from repro.sim.traffic import SaturatedSource
 
-__all__ = ["BaseMacAgent"]
+__all__ = ["BaseMacAgent", "MeasuredLink"]
 
 #: Minimum queued packets kept per receiver so saturated sources never run dry.
 _QUEUE_TARGET = 4
+
+
+class MeasuredLink(NamedTuple):
+    """What a receiver measures on the light-weight RTS of planned streams.
+
+    ``snrs_db`` concatenates the post-projection SNRs of every wanted
+    stream (read-only) and ``esnr_db`` is their MI-ESNR
+    (:func:`repro.phy.esnr.esnr_for_modulation`), the value the bitrate
+    is picked from.
+    """
+
+    snrs_db: np.ndarray
+    esnr_db: float
 
 
 class BaseMacAgent:
@@ -333,10 +346,15 @@ class BaseMacAgent:
         receiver_id: int,
         planned: Sequence[ScheduledStream],
         concurrent: Sequence[ScheduledStream],
-    ) -> np.ndarray:
-        """Per-subcarrier post-projection SNRs the receiver would measure on
-        the light-weight RTS of the planned streams (worst stream governs
-        every subcarrier because one failed stream fails the packet).
+    ) -> MeasuredLink:
+        """Post-projection SNRs, and their ESNR, that the receiver would
+        measure on the light-weight RTS of the planned streams.
+
+        The SNRs of all the receiver's wanted streams are concatenated
+        and one MI-ESNR is taken over every (stream, subcarrier) entry,
+        so a strong stream can lift the rate a weak one must also carry.
+        Delivery, in contrast, takes the minimum over per-stream
+        probabilities (see ``docs/ARCHITECTURE.md``, known deviations).
 
         Pure given the contention configuration (static channels, memoized
         estimates, no generator involved), so the result is memoized by
@@ -364,15 +382,15 @@ class BaseMacAgent:
         receiver_id: int,
         planned: Sequence[ScheduledStream],
         concurrent: Sequence[ScheduledStream],
-    ) -> np.ndarray:
+    ) -> MeasuredLink:
         wanted = [s for s in planned if s.receiver_id == receiver_id]
         snrs = receiver_stream_snrs(
             self.network, receiver_id, wanted, list(concurrent) + list(planned)
         )
         per_stream = [snrs[s.stream_id] for s in wanted]
-        if not per_stream:
-            return np.array([0.0])
-        return np.concatenate(per_stream)
+        measured = np.concatenate(per_stream) if per_stream else np.array([0.0])
+        measured.flags.writeable = False
+        return MeasuredLink(measured, esnr_for_modulation(measured, MCS_TABLE[0].modulation))
 
     def _select_mcs(
         self,
@@ -382,14 +400,12 @@ class BaseMacAgent:
     ) -> MCS:
         """The bitrate the receiver would feed back for the planned streams.
 
-        The receiver measures the post-projection SNR of each of its wanted
-        streams on the (light-weight) RTS given the transmissions on the
-        air at that moment, computes the effective SNR and picks the
-        fastest adequate MCS; the most constrained stream governs.
+        The fastest MCS whose threshold (plus the bitrate margin) the
+        ESNR of :meth:`_measured_snrs` meets -- one ESNR over all of the
+        receiver's wanted streams together, not the weakest stream's.
         """
-        return choose_bitrate(
-            self._measured_snrs(receiver_id, planned, concurrent), self.bitrate_margin_db
-        )
+        esnr = self._measured_snrs(receiver_id, planned, concurrent).esnr_db
+        return mcs_for_esnr(esnr, MCS_TABLE, self.bitrate_margin_db)
 
     # -- planning (overridden by subclasses) ------------------------------------------------
 

@@ -44,7 +44,7 @@ from repro.mac.plan import (
     stream_signature,
 )
 from repro.mimo.dof import InterferenceStrategy, choose_strategy
-from repro.phy.esnr import esnr_for_modulation, mcs_for_esnr
+from repro.phy.esnr import mcs_for_esnr
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import announced_decoding_subspace, interference_directions_at
 from repro.sim.medium import Medium, ScheduledStream
@@ -314,9 +314,10 @@ class NPlusMac(BeamformingMac):
         lowest = MCS_TABLE[0]
         for receiver in receivers:
             group = [s for s in streams if s.receiver_id == receiver.receiver_id]
-            measured = self._measured_snrs(receiver.receiver_id, streams, medium.active_streams)
-            # One ESNR decides both viability and the bitrate.
-            esnr = esnr_for_modulation(measured, lowest.modulation)
+            # One memoized ESNR decides both viability and the bitrate.
+            esnr = self._measured_snrs(
+                receiver.receiver_id, streams, medium.active_streams
+            ).esnr_db
             if not esnr >= lowest.min_esnr_db + self.bitrate_margin_db:
                 group[0].payload_bits = 0
                 continue

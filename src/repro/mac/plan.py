@@ -93,10 +93,13 @@ class PlanCache:
     once per simulation, so the expensive per-round planning math --
     pre-coder decompositions (:func:`plan_initial_transmission`,
     :func:`plan_join`), announced decoding subspaces, the
-    post-projection SNRs a receiver would feed back and the channel-only
-    core of the delivery-time link abstraction
-    (:func:`repro.sim.link_abstraction.receiver_stream_snrs`) -- is a
-    pure function of the contention configuration.  The cache maps a structural key
+    post-projection SNRs a receiver would feed back (with the ESNR the
+    bitrate is picked from) and the channel-only core of the
+    delivery-time link abstraction
+    (:func:`repro.sim.link_abstraction.receiver_stream_snrs`; for a
+    receiver no residual stream reaches, the core includes the SNRs and
+    ESNRs themselves, since nothing is drawn for it) -- is a pure
+    function of the contention configuration.  The cache maps a structural key
     (built from :func:`stream_signature` plus whatever else the
     computation depends on) to the computed value; after the first
     occurrence of each configuration the dominant per-round SVD work

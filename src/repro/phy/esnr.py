@@ -18,11 +18,22 @@ the delivery model use the mean-mutual-information mapping instead
 per packet is compared against the per-MCS thresholds
 (:func:`mcs_for_esnr`) to pick the fastest scheme expected to deliver
 the packet.
+
+Because the mapping ignores the modulation, the ESNR is a property of
+the SNRs alone, and the simulator evaluates it once per link
+configuration: :func:`esnr_rows` maps every stream of a reception in one
+pass, the link abstraction and the MAC's measured-SNR memo keep the
+result beside the SNRs it came from, and the MCS pick
+(:func:`mcs_for_esnr`) and the delivery model
+(:func:`delivery_probability_for_esnr`) take that ESNR instead of
+re-deriving it.  :func:`select_mcs` and
+:func:`packet_delivery_probability` are the same steps starting from
+the SNRs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -37,10 +48,12 @@ __all__ = [
     "select_mcs",
     "mcs_for_esnr",
     "esnr_for_modulation",
+    "esnr_rows",
     "esnr_ber_average",
     "delivery_margin_db",
     "margin_for_esnr",
     "packet_delivery_probability",
+    "delivery_probability_for_esnr",
 ]
 
 
@@ -122,12 +135,35 @@ def esnr_for_modulation(subcarrier_snrs_db: Sequence[float], modulation: Modulat
     unbounded Shannon ``log2(1 + SNR)``).  One evaluation therefore
     serves every MCS of a table (:func:`select_mcs`).
     """
-    snrs = np.asarray(list(subcarrier_snrs_db), dtype=float)
+    snrs = np.asarray(subcarrier_snrs_db, dtype=float)
     if snrs.size == 0:
         return -np.inf
-    snr_linear = np.power(10.0, snrs / 10.0)
-    mutual_information = np.log2(1.0 + snr_linear)
-    mean_information = float(np.mean(mutual_information))
+    return _esnr_from_mean_information(float(np.mean(_mutual_information(snrs))))
+
+
+def esnr_rows(snrs_db: np.ndarray) -> Tuple[float, ...]:
+    """:func:`esnr_for_modulation` of every row of a ``(n_rows, n_sub)``
+    array, in one pass.
+
+    The mutual information of all rows is computed at once and averaged
+    along the contiguous last axis, where each row is summed in the same
+    order as the 1-D mean of :func:`esnr_for_modulation`; each result is
+    therefore bit-identical to evaluating that row on its own.
+    """
+    rows = np.ascontiguousarray(snrs_db, dtype=float)
+    if rows.shape[-1] == 0:
+        return (-np.inf,) * rows.shape[0]
+    mean_information = np.mean(_mutual_information(rows), axis=-1)
+    return tuple(_esnr_from_mean_information(float(m)) for m in mean_information)
+
+
+def _mutual_information(snrs_db: np.ndarray) -> np.ndarray:
+    """Shannon information ``log2(1 + SNR)`` of dB SNRs, elementwise."""
+    return np.log2(1.0 + np.power(10.0, snrs_db / 10.0))
+
+
+def _esnr_from_mean_information(mean_information: float) -> float:
+    """The flat-channel SNR (dB) carrying ``mean_information`` bits."""
     effective_linear = max(2.0**mean_information - 1.0, 1e-12)
     return float(10.0 * np.log10(effective_linear))
 
@@ -230,8 +266,25 @@ def packet_delivery_probability(
     exactly at threshold succeeds with probability ~0.9, one sent a couple
     of dB above essentially always succeeds, and one sent a couple of dB
     below almost always fails.
+
+    The ESNR of :func:`esnr_for_modulation` followed by
+    :func:`delivery_probability_for_esnr`.
     """
-    margin = delivery_margin_db(subcarrier_snrs_db, mcs, threshold_offset_db)
+    esnr = esnr_for_modulation(subcarrier_snrs_db, mcs.modulation)
+    return delivery_probability_for_esnr(
+        esnr, mcs, packet_bits, steepness_db, threshold_offset_db
+    )
+
+
+def delivery_probability_for_esnr(
+    esnr_db: float,
+    mcs: MCS,
+    packet_bits: int,
+    steepness_db: float = 1.0,
+    threshold_offset_db: float = 2.5,
+) -> float:
+    """:func:`packet_delivery_probability` from an already evaluated ESNR."""
+    margin = margin_for_esnr(esnr_db, mcs, threshold_offset_db)
     base = 1.0 / (1.0 + np.exp(-margin / max(steepness_db, 1e-3)))
     # Longer packets are slightly harder to deliver at the same BER.
     length_factor = min(1.0, 12_000 / max(packet_bits, 1))

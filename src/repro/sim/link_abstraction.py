@@ -48,6 +48,14 @@ the residual-suppression jitter (the only per-round randomness),
 accumulates the residual interference and composes the SNRs, so cached
 and uncached calls consume the generator identically and return the
 same bits.
+
+The result also carries each wanted stream's MI-ESNR
+(:class:`StreamSnrs`), the quantity the delivery model reads, evaluated
+for all wanted streams in one pass (:func:`repro.phy.esnr.esnr_rows`)
+when first read.  When no residual (protecting) stream reaches the
+receiver nothing is drawn, so the SNRs are as pure as the rest of the
+core and are composed with it, and their ESNRs are kept with it: both
+are evaluated once per configuration.
 """
 
 from __future__ import annotations
@@ -59,11 +67,13 @@ import numpy as np
 from repro.mac.plan import PlanCache, involved_node_ids, stream_signature
 from repro.mimo.decoder import snr_from_zf_enhancement, zf_noise_enhancement_batch
 from repro.mimo.dof import InterferenceStrategy
+from repro.phy.esnr import esnr_rows
 from repro.sim.medium import ScheduledStream
 from repro.utils.db import linear_to_db
 from repro.utils.linalg import singular_value_ranks
 
 __all__ = [
+    "StreamSnrs",
     "receiver_stream_snrs",
     "unprotected_interference_power",
     "unprotected_interference_power_batch",
@@ -211,19 +221,70 @@ def _announced_subspace_reference(
     return out
 
 
+class _LinkTail:
+    """The composed ``(n_wanted, n_sub)`` SNRs in dB of one reception and
+    their per-stream ESNRs, evaluated in one pass on first read and kept.
+
+    A memoized core shares its tail, so the ESNRs of a configuration are
+    evaluated once however often it recurs, and a caller that never
+    reads them (the MAC's measured SNRs) never pays for them.
+    """
+
+    __slots__ = ("snrs_db", "_esnr_db")
+
+    def __init__(self, snrs_db: np.ndarray) -> None:
+        self.snrs_db = snrs_db
+        self._esnr_db: Optional[Tuple[float, ...]] = None
+
+    @property
+    def esnr_db(self) -> Tuple[float, ...]:
+        if self._esnr_db is None:
+            self._esnr_db = esnr_rows(self.snrs_db)
+        return self._esnr_db
+
+
+class StreamSnrs(dict):
+    """What :func:`receiver_stream_snrs` returns: ``stream_id ->``
+    per-subcarrier SNRs in dB, plus :attr:`esnr_db`.
+
+    The arrays may be shared with a memoized core and are then
+    read-only.
+    """
+
+    __slots__ = ("_stream_ids", "_tail")
+
+    def __init__(self, stream_ids: Sequence[int] = (), tail: Optional[_LinkTail] = None) -> None:
+        super().__init__(zip(stream_ids, tail.snrs_db) if tail is not None else ())
+        self._stream_ids = tuple(stream_ids)
+        self._tail = tail
+
+    @property
+    def esnr_db(self) -> Dict[int, float]:
+        """``stream_id ->`` the MI-ESNR
+        (:func:`repro.phy.esnr.esnr_for_modulation`) of that stream's
+        SNRs."""
+        if self._tail is None:
+            return {}
+        return dict(zip(self._stream_ids, self._tail.esnr_db))
+
+
 class _ReceiverCore(NamedTuple):
     """The channel-only part of :func:`receiver_stream_snrs`.
 
     ``residual`` holds ``(unprotected power, aligned)`` per residual
     (protecting) stream and ``raw`` the unprotected power per raw
     (untreatable) stream, each ``(n_sub,)``, in ``concurrent_streams``
-    order.  Arrays are read-only: a memoized core is shared by reference.
+    order.  Without residual streams nothing is drawn per call, so
+    ``tail`` holds the composed SNRs (and their ESNRs); it is ``None``
+    otherwise.  Arrays are read-only: a memoized core is shared by
+    reference.
     """
 
     enhancement: np.ndarray
     rank_deficient: np.ndarray
     residual: Tuple[Tuple[np.ndarray, bool], ...]
     raw: Tuple[np.ndarray, ...]
+    tail: Optional[_LinkTail]
 
 
 def _receiver_core(
@@ -234,8 +295,9 @@ def _receiver_core(
 ) -> _ReceiverCore:
     """Classify the concurrent streams and compute everything that
     depends on the channels only: the zero-forcing noise enhancement of
-    the wanted streams after projection and the unprotected power of
-    every residual and raw stream."""
+    the wanted streams after projection, the unprotected power of every
+    residual and raw stream and, when there is no residual stream, the
+    SNRs and ESNRs themselves."""
     wanted_ids = {s.stream_id for s in wanted}
     transmitter_id = wanted[0].transmitter_id
     first_wanted_order = min(s.join_order for s in wanted)
@@ -289,12 +351,48 @@ def _receiver_core(
         )
         for stream in residual_streams
     )
+    raw = tuple(unprotected(stream) for stream in raw_streams)
+    tail = None
+    if not residual:
+        tail = _link_tail(
+            network, enhancement, rank_deficient, raw, np.zeros(network.n_subcarriers)
+        )
+        _read_only(tail.snrs_db)
     return _ReceiverCore(
         _read_only(enhancement),
         _read_only(rank_deficient),
         residual,
-        tuple(unprotected(stream) for stream in raw_streams),
+        raw,
+        tail,
     )
+
+
+def _link_tail(
+    network,
+    enhancement: np.ndarray,
+    rank_deficient: np.ndarray,
+    raw: Sequence[np.ndarray],
+    residual_power: np.ndarray,
+) -> _LinkTail:
+    """The ``(n_wanted, n_sub)`` SNRs in dB (and their per-stream ESNRs).
+
+    ``residual_power`` holds the residual streams' interference; the raw
+    streams' powers are added to it (in place) one by one -- never
+    pre-summed -- since this accumulation order fixes the bits seeded
+    runs reproduce.
+    """
+    for unprotected in raw:
+        residual_power += unprotected
+    per_stream_db = linear_to_db(
+        snr_from_zf_enhancement(
+            enhancement,
+            rank_deficient,
+            noise_power=network.noise_power,
+            signal_power=1.0,
+            residual_interference_power=residual_power,
+        )
+    )  # (n_sub, n_wanted)
+    return _LinkTail(np.ascontiguousarray(per_stream_db.T))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -309,7 +407,7 @@ def receiver_stream_snrs(
     concurrent_streams: Sequence[ScheduledStream],
     rng: Optional[np.random.Generator] = None,
     plan_cache: Optional[PlanCache] = None,
-) -> Dict[int, np.ndarray]:
+) -> StreamSnrs:
     """Per-subcarrier post-projection SNRs of the wanted streams.
 
     Parameters
@@ -331,20 +429,23 @@ def receiver_stream_snrs(
     plan_cache:
         Optional per-simulation :class:`~repro.mac.plan.PlanCache`.  When
         given, the channel-only core (stream classification, projection,
-        zero-forcing noise enhancement, unprotected powers) is memoized
-        per contention configuration and channel epoch; the suppression
-        jitter is still drawn on every call, so the result and the
-        generator's state are the same with or without a cache.
+        zero-forcing noise enhancement, unprotected powers, and the
+        SNRs and ESNRs of a receiver no residual stream reaches) is
+        memoized per contention configuration and channel epoch; the
+        suppression jitter is still drawn on every call that needs it,
+        so the result and the generator's state are the same with or
+        without a cache.
 
     Returns
     -------
-    dict
+    StreamSnrs
         Maps each wanted stream's ``stream_id`` to an array of
-        per-subcarrier SNRs in dB.
+        per-subcarrier SNRs in dB; its ``esnr_db`` maps the same ids to
+        the MI-ESNR of each array.
     """
     wanted = list(wanted_streams)
     if not wanted:
-        return {}
+        return StreamSnrs()
     concurrent = list(concurrent_streams)
     if plan_cache is None:
         core = _receiver_core(network, receiver_id, wanted, concurrent)
@@ -362,38 +463,27 @@ def receiver_stream_snrs(
             key, lambda: _receiver_core(network, receiver_id, wanted, concurrent)
         )
 
-    residual_power = np.zeros(network.n_subcarriers)
-    if core.residual:
-        # One draw per (subcarrier, stream) in row-major order, matching the
-        # draw order of the per-subcarrier loop so seeded runs reproduce.
-        jitter = (
-            network.hardware.draw_suppression_jitter(
-                rng, size=(network.n_subcarriers, len(core.residual))
-            )
-            if rng is not None
-            else None
-        )
-        for index, (unprotected, aligned) in enumerate(core.residual):
-            residual_power += network.hardware.residual_interference_power_batch(
-                unprotected,
-                aligned=aligned,
-                suppression_jitter_db=None if jitter is None else jitter[:, index],
-            )
-    # Added one by one after the residual streams and never pre-summed in
-    # the core: this accumulation order fixes the bits seeded runs reproduce.
-    for unprotected in core.raw:
-        residual_power += unprotected
+    stream_ids = [stream.stream_id for stream in wanted]
+    if core.tail is not None:
+        return StreamSnrs(stream_ids, core.tail)
 
-    per_stream_db = linear_to_db(
-        snr_from_zf_enhancement(
-            core.enhancement,
-            core.rank_deficient,
-            noise_power=network.noise_power,
-            signal_power=1.0,
-            residual_interference_power=residual_power,
+    # One draw per (subcarrier, stream) in row-major order, matching the
+    # draw order of the per-subcarrier loop so seeded runs reproduce.
+    jitter = (
+        network.hardware.draw_suppression_jitter(
+            rng, size=(network.n_subcarriers, len(core.residual))
         )
-    )  # (n_sub, n_wanted)
-    return {
-        stream.stream_id: np.ascontiguousarray(per_stream_db[:, index])
-        for index, stream in enumerate(wanted)
-    }
+        if rng is not None
+        else None
+    )
+    residual_power = np.zeros(network.n_subcarriers)
+    for index, (unprotected, aligned) in enumerate(core.residual):
+        residual_power += network.hardware.residual_interference_power_batch(
+            unprotected,
+            aligned=aligned,
+            suppression_jitter_db=None if jitter is None else jitter[:, index],
+        )
+    return StreamSnrs(
+        stream_ids,
+        _link_tail(network, core.enhancement, core.rank_deficient, core.raw, residual_power),
+    )

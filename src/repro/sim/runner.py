@@ -51,7 +51,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.csma import resolve_contention
 from repro.mac.plan import PlanCache
 from repro.mac.variants import ProtocolLike, resolve_protocol
-from repro.phy.esnr import packet_delivery_probability
+from repro.phy.esnr import delivery_probability_for_esnr
 from repro.sim.engine import EventScheduler
 from repro.sim.faults import FaultInjector, FaultSchedule, fault_profile
 from repro.sim.fidelity import DEFAULT_BAND_DB, FIDELITY_MODES, FidelityEngine
@@ -409,12 +409,15 @@ def _evaluate_group(
         rng=rng,
         plan_cache=plan_cache,
     )
+    # One failed spatial stream fails the aggregate reception.
+    esnr_db = snrs.esnr_db
     probability = 1.0
     for stream in group.streams:
-        per_subcarrier = snrs[stream.stream_id]
         probability = min(
             probability,
-            packet_delivery_probability(per_subcarrier, stream.mcs, group.payload_bits),
+            delivery_probability_for_esnr(
+                esnr_db[stream.stream_id], stream.mcs, group.payload_bits
+            ),
         )
     # The abstraction's coin is drawn unconditionally so the main
     # generator consumes the identical stream under every fidelity tier.

@@ -10,22 +10,44 @@ Three families of properties:
   mutual-information ESNR is pinned: both are bounded by the best
   subcarrier, they coincide on flat channels, and a deep fade drags the
   BER average (far) below the MI average -- the worst-subcarrier
-  domination that motivated switching rate selection to the MI mapping.
+  domination that motivated switching rate selection to the MI mapping;
+* the ESNR-taking forms the simulator memoizes through are bit-equal to
+  the SNR-taking ones: :func:`~repro.phy.esnr.esnr_rows` row by row to
+  :func:`~repro.phy.esnr.esnr_for_modulation`, and
+  :func:`~repro.phy.esnr.delivery_probability_for_esnr` to
+  :func:`~repro.phy.esnr.packet_delivery_probability`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.phy.esnr import (
     delivery_margin_db,
+    delivery_probability_for_esnr,
     esnr_ber_average,
     esnr_for_modulation,
+    esnr_rows,
     packet_delivery_probability,
     select_mcs,
 )
 from repro.phy.rates import MCS_TABLE
+
+# dB SNRs as the link abstraction produces them: rank-deficient
+# subcarriers sit at the -300 dB floor, the rest anywhere a link can be.
+_SNR_DB = st.one_of(
+    st.floats(min_value=-40.0, max_value=60.0, allow_nan=False),
+    st.just(-300.0),
+)
+
+
+def _snr_rows(min_rows=1):
+    shapes = st.tuples(st.integers(min_rows, 4), st.integers(1, 64))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=_SNR_DB))
 
 
 class TestMutualInformationEsnr:
@@ -167,3 +189,38 @@ class TestDeliveryMargin:
         probabilities = [packet_delivery_probability(s, mcs, 12_000) for s in snrs]
         order = np.argsort(margins)
         assert list(np.array(probabilities)[order]) == sorted(probabilities)
+
+
+class TestEsnrTakingFormsAreBitEqual:
+    @given(rows=_snr_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_row_esnr_matches_each_row_alone(self, rows):
+        modulation = MCS_TABLE[0].modulation
+        expected = tuple(esnr_for_modulation(row, modulation) for row in rows)
+        assert esnr_rows(rows) == expected
+        # The link abstraction hands over a transposed (n_sub, n_wanted) view.
+        assert esnr_rows(np.ascontiguousarray(rows.T).T) == expected
+
+    @given(
+        rows=_snr_rows(),
+        mcs_index=st.integers(0, len(MCS_TABLE) - 1),
+        packet_bits=st.integers(1, 200_000),
+        steepness_db=st.floats(min_value=0.25, max_value=4.0),
+        threshold_offset_db=st.floats(min_value=-5.0, max_value=5.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_delivery_from_esnr_matches_delivery_from_snrs(
+        self, rows, mcs_index, packet_bits, steepness_db, threshold_offset_db
+    ):
+        mcs = MCS_TABLE[mcs_index]
+        for row, esnr in zip(rows, esnr_rows(rows)):
+            expected = packet_delivery_probability(
+                row, mcs, packet_bits, steepness_db, threshold_offset_db
+            )
+            got = delivery_probability_for_esnr(
+                esnr, mcs, packet_bits, steepness_db, threshold_offset_db
+            )
+            assert got.hex() == expected.hex()
+
+    def test_empty_rows_are_minus_infinity(self):
+        assert esnr_rows(np.zeros((2, 0))) == (-np.inf, -np.inf)

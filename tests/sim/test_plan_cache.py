@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.mac.plan import PlanCache, stream_signature
+from repro.phy.rates import MCS_TABLE
 from repro.sim.runner import (
     SimulationConfig,
     _ESTIMATION_STREAM_TAG,
@@ -301,3 +302,87 @@ class TestReceiverCoreMemo:
         (core,) = cache._store.values()
         assert not core.enhancement.flags.writeable
         assert not core.rank_deficient.flags.writeable
+
+
+def _run_with_final_state(monkeypatch, scenario, protocol, seed, config, plan_cache):
+    """``run_simulation`` plus the run generator's state after the run."""
+    import repro.sim.runner as runner
+
+    states = []
+    original = runner._EventDrivenLoop.run
+
+    def run(loop):
+        result = original(loop)
+        states.append(loop.rng.bit_generator.state)
+        return result
+
+    monkeypatch.setattr(runner._EventDrivenLoop, "run", run)
+    metrics = run_simulation(
+        scenario, protocol, seed=seed, config=config, plan_cache=plan_cache
+    )
+    (state,) = states
+    return metrics.to_dict(), state
+
+
+class TestLinkTailMemo:
+    """The link tail (SNRs -> ESNR -> MCS / delivery probability) is
+    memoized with its configuration without changing a bit of any run."""
+
+    FIG12_CONFIG = SimulationConfig(duration_us=120_000.0, n_subcarriers=16)
+    FAULTY_AUTO_CONFIG = SimulationConfig(duration_us=50_000.0, fidelity="auto")
+
+    @pytest.mark.parametrize("protocol", ["n+", "802.11n"])
+    def test_fig12_cached_equals_uncached(self, monkeypatch, protocol):
+        runs = [
+            _run_with_final_state(
+                monkeypatch, three_pair_scenario(), protocol, 2, self.FIG12_CONFIG, flag
+            )
+            for flag in (True, False)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_faulty_fidelity_auto_cached_equals_uncached(self, monkeypatch):
+        scenario = scenario_factory("dense-lan-50-faulty")
+        runs = [
+            _run_with_final_state(
+                monkeypatch, scenario(), "n+", 4, self.FAULTY_AUTO_CONFIG, flag
+            )
+            for flag in (True, False)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_memoized_arrays_are_read_only(self, monkeypatch):
+        config = SimulationConfig(duration_us=30_000.0, n_subcarriers=8)
+        cache, _ = _run_counting(monkeypatch, three_pair_scenario(), 1, config)
+        cores = [v for k, v in cache._store.items() if k[0] == "rx-snr-core"]
+        measured = [v for k, v in cache._store.items() if k[0] == "measured-snrs"]
+        tails = [core.tail for core in cores if core.tail is not None]
+        assert tails and measured
+        for tail in tails:
+            with pytest.raises(ValueError):
+                tail.snrs_db[0, 0] = 0.0
+        for link in measured:
+            with pytest.raises(ValueError):
+                link.snrs_db[0] = 0.0
+
+    def test_carried_esnrs_match_the_returned_snrs(self, monkeypatch):
+        """Memo hits and misses, with and without residual streams, carry
+        the ESNR of exactly the arrays they return."""
+        import repro.sim.runner as runner
+        from repro.phy.esnr import esnr_for_modulation
+
+        seen = {"memoized": 0, "per-call": 0}
+        original = runner.receiver_stream_snrs
+
+        def spy(network, receiver_id, wanted, concurrent, rng=None, plan_cache=None):
+            snrs = original(network, receiver_id, wanted, concurrent, rng, plan_cache)
+            assert snrs.keys() == snrs.esnr_db.keys() == {s.stream_id for s in wanted}
+            for stream_id, array in snrs.items():
+                expected = esnr_for_modulation(array, MCS_TABLE[0].modulation)
+                assert snrs.esnr_db[stream_id].hex() == expected.hex()
+                seen["per-call" if array.flags.writeable else "memoized"] += 1
+            return snrs
+
+        monkeypatch.setattr(runner, "receiver_stream_snrs", spy)
+        run_simulation(three_pair_scenario(), "n+", seed=1, config=self.FIG12_CONFIG)
+        assert seen["memoized"] > 0 and seen["per-call"] > 0
